@@ -37,6 +37,14 @@
 #                               # the fused path), pinning the sharded
 #                               # determinism contract — under TSan this
 #                               # sweeps the epoch-barrier fabric for races
+#   PERFBENCH=1 scripts/check.sh
+#                               # additionally builds the repository
+#                               # benchmark (perfbench/, its own optimized,
+#                               # unsanitized CMake package under
+#                               # .bench_build/) and runs each of its
+#                               # three workloads for 2 s; fails if any
+#                               # run exits nonzero, so an API change that
+#                               # breaks the benchmark fails here too
 #   BENCH=1 scripts/check.sh    # additionally smoke-runs the kernel
 #                               # microbenchmarks (short min-time) and the
 #                               # fleet sharding scaling bench so the
@@ -80,24 +88,10 @@ cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# The datacenter-tax kernels select portable or hardware paths at runtime
-# (common/cpu.h). Re-run every kernel-facing suite with the policy pinned
-# each way: the bit-identity contract means both passes must be green on
-# any host, and under any sanitizer the surrounding build chose. The
-# serve suites ride along because the wire framing's CRC32C goes through
-# the same dispatch (a frame encoded under one pin must decode under the
-# other — the daemon and its clients may resolve dispatch differently).
-KERNEL_TESTS=(kernel_dispatch_test checksum_test wire_test message_test
-              sha3_test compression_test fuzz_test continuous_test
-              trace_export_test frame_fuzz_test serve_test
-              serve_alloc_test)
-for dispatch in portable native; do
-  echo "== kernel suites with HYPERPROF_KERNEL_DISPATCH=$dispatch =="
-  for test in "${KERNEL_TESTS[@]}"; do
-    HYPERPROF_KERNEL_DISPATCH="$dispatch" "$BUILD_DIR/tests/$test" \
-      --gtest_brief=1
-  done
-done
+# Re-run every kernel-facing suite with the kernel dispatch policy pinned
+# each way (the suite list lives in scripts/kernel_suites.sh, shared with
+# CI).
+scripts/kernel_suites.sh "$BUILD_DIR"
 
 if [[ "${ASAN:-0}" != "0" ]]; then
   # Slot recycling, reservoir swaps, and interner string_view lifetimes get
@@ -124,24 +118,27 @@ fi
 
 if [[ "${UBSAN:-0}" != "0" || "${FUZZ:-0}" != "0" ]]; then
   # Deterministic simulation fuzz: 100 fixed-seed scenarios, each run
-  # serial, parallel, replayed, and incrementally advanced (the serving
-  # daemon's pause/resume path), with the full invariant catalogue.
+  # three times — stepped through Start/Advance/Finish (the serving
+  # daemon's pause/resume path) with mid-run checks after every step,
+  # parallel, and replayed in one shot — with the full invariant
+  # catalogue.
   # Native dispatch is forced so the hardware kernel paths run underneath
   # the digest comparison — the digests are computed from simulated
   # timings and must come out the same as under portable dispatch.
   # Reproduce a failure locally with:
   #   $BUILD_DIR/src/testing/simtest_fuzz --seeds 1 --base-seed <seed> --shrink
   HYPERPROF_KERNEL_DISPATCH=native \
-    "$BUILD_DIR/src/testing/simtest_fuzz" --seeds 100 --base-seed 1 --probe-ms 10
+    "$BUILD_DIR/src/testing/simtest_fuzz" --seeds 100 --base-seed 1
 fi
 
 if [[ -n "${SHARDS:-}" ]]; then
   # Sharded-determinism fuzz: the same fixed-seed block with every
-  # scenario's shard count overridden. Each seed still runs serial,
-  # parallel, and replayed, so shard-count bit-identity and the
-  # shard-exchange invariant get swept under the build's sanitizers.
+  # scenario's shard count overridden. Each seed still runs its three
+  # executions (stepped with mid-run checks, parallel, one-shot replay),
+  # so shard-count bit-identity and the shard-exchange invariant get
+  # swept under the build's sanitizers.
   "$BUILD_DIR/src/testing/simtest_fuzz" --seeds 50 --base-seed 1 \
-    --probe-ms 10 --shards "$SHARDS"
+    --shards "$SHARDS"
 fi
 
 if [[ "${BENCH:-0}" != "0" ]]; then
@@ -167,4 +164,15 @@ if [[ "${BENCH:-0}" != "0" ]]; then
   # perf floor only arms on multi-core unsanitized full runs — smoke
   # prints a skip.
   "$BUILD_DIR/bench/serving_micro" /tmp/serving_smoke.json smoke
+fi
+
+if [[ "${PERFBENCH:-0}" != "0" ]]; then
+  # Repository benchmark smoke: perfbench/ is a separate CMake package
+  # that root ctest never compiles. run.py builds it and checks each
+  # run's outputs (digests, accounting, metric names); any failure exits
+  # nonzero.
+  for workload in fleet_fused fleet_sharded serve_spanner; do
+    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
+      --trace 0
+  done
 fi

@@ -25,17 +25,6 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-std::future<void> ThreadPool::Submit(std::function<void()> job) {
-  std::packaged_task<void()> task(std::move(job));
-  std::future<void> future = task.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    queue_.emplace_back(std::move(task));
-  }
-  wake_.notify_one();
-  return future;
-}
-
 // Lives on the ParallelFor caller's stack. A task touches it only
 // before its fetch_sub on `remaining`: once the count hits zero the
 // caller may return and destroy it, so the completion notification
@@ -112,8 +101,7 @@ bool ThreadPool::TryRunOneQueued() {
     task = std::move(queue_.front());
     queue_.pop_front();
   }
-  // Submit tasks capture exceptions into their future; ParallelFor
-  // tasks catch internally. Nothing propagates here.
+  // ParallelFor tasks catch internally; nothing propagates here.
   task();
   return true;
 }

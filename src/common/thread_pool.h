@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -17,13 +16,12 @@ namespace hyperprof {
 /**
  * Reusable fixed-size worker pool.
  *
- * The fleet harness and the sweep runners push coarse-grained jobs (an
- * entire platform simulation, one sweep point) through this pool, so the
- * design favors simplicity over lock-free throughput: one mutex-guarded
- * queue, workers parked on a condition variable. Exceptions thrown by a
- * Submit job are captured in the returned future and rethrown at
- * Get/Wait, never swallowed. A pool outlives any number of Submit
- * batches; the destructor drains remaining work before joining.
+ * The fleet harness and the sweep runners fan coarse-grained jobs (an
+ * entire platform simulation, one sweep point) out through ParallelFor,
+ * so the design favors simplicity over lock-free throughput: one
+ * mutex-guarded queue, workers parked on a condition variable. Exceptions
+ * thrown by a job are rethrown by ParallelFor, never swallowed. A pool
+ * outlives any number of ParallelFor batches.
  *
  * The queue element is an InlineFunction rather than std::function so
  * that the per-task closures ParallelFor enqueues (a control-block
@@ -38,26 +36,20 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /** Finishes all queued work, then joins the workers. */
+  /** Joins the workers. */
   ~ThreadPool();
 
   /** Number of worker threads. */
   size_t size() const { return workers_.size(); }
 
   /**
-   * Enqueues `job`; the future resolves when it finishes and carries any
-   * exception it threw.
-   */
-  std::future<void> Submit(std::function<void()> job);
-
-  /**
    * Runs fn(0..n-1) across the pool and blocks until all complete.
    * Rethrows the lowest-index exception after every job finished.
    *
    * Safe to call from inside a pool worker: while any job is unfinished
-   * the caller help-runs queued tasks instead of parking, so a nested
-   * ParallelFor (e.g. a platform job fanning out shard epochs) cannot
-   * deadlock a pool that is at capacity.
+   * the caller help-runs queued tasks instead of parking, so a job that
+   * itself calls ParallelFor on the same pool cannot deadlock a pool that
+   * is at capacity.
    */
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
@@ -68,8 +60,8 @@ class ThreadPool {
   static size_t ResolveParallelism(size_t parallelism);
 
  private:
-  // 48 bytes comfortably holds a packaged_task (one shared-state
-  // pointer) and the ParallelFor closures (control pointer + index).
+  // 48 bytes comfortably holds the ParallelFor closures (pool pointer,
+  // control pointer, index).
   using Task = InlineFunction<void(), 48>;
 
   /** Bookkeeping for one ParallelFor call, on the caller's stack. */

@@ -24,12 +24,9 @@ struct PlatformEngine::QueryState {
   Rng rng{0};
   uint64_t lane = 0;
   uint64_t msg_seq = 0;
-  // Serving mode (Submit): admission time and the completion hook that
-  // carries the virtual latency back to the front door. Null in batch
-  // runs. Ticketed admissions carry a ticket for the ServingSink instead
-  // of a per-query callback.
+  // Serving mode (Submit): admission time and the ticket the ServingSink
+  // receives with the query's virtual latency. Unused in batch runs.
   SimTime admitted;
-  std::function<void(SimTime)> on_done;
   uint64_t ticket = 0;
   bool has_ticket = false;
 };
@@ -201,12 +198,6 @@ void PlatformEngine::Run(uint64_t num_queries, double arrival_rate_qps,
   }
 }
 
-void PlatformEngine::Submit(std::function<void(SimTime)> on_done) {
-  assert(!sharded_ && "serving admission requires a fused engine");
-  ++target_;
-  StartQuery(type_sampler_->Sample(rng_), std::move(on_done));
-}
-
 void PlatformEngine::SetServingSink(ServingSink sink, void* ctx) {
   serving_sink_ = sink;
   serving_ctx_ = ctx;
@@ -240,7 +231,6 @@ PlatformEngine::AcquireQueryState() {
     query->lane = 0;
     query->msg_seq = 0;
     query->admitted = SimTime();
-    query->on_done = nullptr;
     query->ticket = 0;
     query->has_ticket = false;
     return query;
@@ -260,11 +250,9 @@ void PlatformEngine::LaunchQuery(std::shared_ptr<QueryState> query) {
   RunPhaseGroup(std::move(query), 0);
 }
 
-void PlatformEngine::StartQuery(size_t type_index,
-                                std::function<void(SimTime)> on_done) {
+void PlatformEngine::StartQuery(size_t type_index) {
   auto query = AcquireQueryState();
   query->type_index = type_index;
-  query->on_done = std::move(on_done);
   LaunchQuery(std::move(query));
 }
 
@@ -613,9 +601,6 @@ void PlatformEngine::FinishQuery(std::shared_ptr<QueryState> query) {
     query->has_ticket = false;
     serving_sink_(serving_ctx_, query->ticket,
                   context_.simulator->Now() - query->admitted);
-  } else if (query->on_done) {
-    auto done = std::move(query->on_done);
-    done(context_.simulator->Now() - query->admitted);
   }
   // Recycle: once the in-flight continuations that still reference this
   // state unwind, AcquireQueryState hands it to the next admission.

@@ -103,31 +103,24 @@ class PlatformEngine {
            std::function<void()> on_all_done);
 
   /**
-   * Serving admission: starts one query of a sampled type at the engine's
-   * current virtual time and invokes `on_done` with the query's virtual
-   * end-to-end latency when it completes (from inside a later
-   * Simulator::RunUntil / FleetSimulation::Advance step). Fused engines
-   * only — a sharded engine owns a fixed query partition. Deterministic:
-   * given the same admission sequence at the same virtual times, the
-   * simulated timeline is bit-identical across runs.
-   */
-  void Submit(std::function<void(SimTime latency)> on_done);
-
-  /**
-   * Completion sink for ticketed admissions. A plain function pointer +
+   * Completion sink for serving admissions. A plain function pointer +
    * context so neither registration nor per-query completion dispatch
    * ever allocates — the serving daemon's whole completion path rides
-   * this. Fired from inside simulator events, exactly where `on_done`
-   * would have run, with the query's virtual end-to-end latency.
+   * this. Fired from inside simulator events (a later
+   * Simulator::RunUntil / FleetSimulation::Advance step) with the
+   * query's ticket and virtual end-to-end latency.
    */
   using ServingSink = void (*)(void* ctx, uint64_t ticket, SimTime latency);
   void SetServingSink(ServingSink sink, void* ctx);
 
   /**
-   * Ticketed admission: identical timeline to Submit(on_done) — same
-   * draws, same events — but completion is delivered to the registered
-   * ServingSink with `ticket`, so admission carries no std::function and
-   * the steady state allocates nothing (query states are pooled).
+   * Serving admission: starts one query of a sampled type at the engine's
+   * current virtual time; its completion reaches the registered
+   * ServingSink with `ticket`. Fused engines only — a sharded engine owns
+   * a fixed query partition. Deterministic: given the same admission
+   * sequence at the same virtual times, the simulated timeline is
+   * bit-identical across runs. The steady state allocates nothing (query
+   * states are pooled).
    */
   void Submit(uint64_t ticket);
 
@@ -190,9 +183,8 @@ class PlatformEngine {
   std::shared_ptr<QueryState> AcquireQueryState();
   /** Shared tail of every fused admission: client draw, trace, phase 0. */
   void LaunchQuery(std::shared_ptr<QueryState> query);
-  /** `on_done` (serving only) receives the query's virtual latency. */
-  void StartQuery(size_t type_index,
-                  std::function<void(SimTime)> on_done = nullptr);
+  /** Batch-mode (fused) arrival of one query of type `type_index`. */
+  void StartQuery(size_t type_index);
   /** Sharded-mode arrival: `rng` is the query's private stream, already
    * advanced past the arrival/type draws. */
   void StartShardedQuery(uint64_t lane, size_t type_index, Rng rng);

@@ -155,7 +155,7 @@ uint64_t FleetSimulation::PlatformSeed(uint64_t fleet_seed,
 }
 
 void FleetSimulation::AddPlatform(PlatformSpec spec) {
-  assert(!ran_);
+  assert(!started_);
   if (config_.shards_per_platform > 0) {
     AddShardedPlatform(std::move(spec));
     return;
@@ -327,54 +327,6 @@ void FleetSimulation::AddDefaultPlatforms() {
   AddPlatform(BigQuerySpec());
 }
 
-void FleetSimulation::RunSlot(size_t index, bool parallel) {
-  PlatformSlot& slot = *slots_[index];
-  if (slot.sharded) {
-    for (auto& worker : slot.workers) {
-      worker->engine->Run(config_.queries_per_platform,
-                          config_.arrival_rate_qps, []() {});
-    }
-    sim::ShardGroup::RunOptions options;
-    options.parallel = parallel;
-    options.pin_threads = config_.pin_shard_threads;
-    if (config_.probe_period > SimTime::Zero() && config_.probe) {
-      options.probe_period = config_.probe_period;
-      options.probe = [this, index]() { config_.probe(index); };
-    }
-    // Post-horizon hook for epoch coalescing: workers report their
-    // engine's flagged-event bound; the storage kernel (last) posts only
-    // synchronously inside delivered events, so its own next-event time
-    // is a sound bound (Max when drained).
-    PlatformSlot* slot_ptr = &slot;
-    options.post_horizon = [slot_ptr](uint32_t kernel) -> SimTime {
-      if (kernel < slot_ptr->workers.size()) {
-        return slot_ptr->workers[kernel]->engine->PostHorizon();
-      }
-      return slot_ptr->simulator->next_event_time();
-    };
-    slot.group->Run(options);
-    FinalizePlatform(slot);
-    return;
-  }
-  slot.engine->Run(config_.queries_per_platform, config_.arrival_rate_qps,
-                   []() {});
-  if (config_.probe_period > SimTime::Zero() && config_.probe) {
-    // Bounded stepping with probe calls between steps. RunUntil executes
-    // the same events in the same order as Run, so stepped and unstepped
-    // shards are bit-identical (the simtest determinism invariant pins
-    // this by comparing probed and unprobed digests).
-    while (slot.simulator->pending_events() > 0) {
-      slot.simulator->RunUntil(slot.simulator->Now() + config_.probe_period);
-      config_.probe(index);
-    }
-  } else {
-    slot.simulator->Run();
-  }
-  // Seal and evaluate the trailing window(s) now that virtual time has
-  // stopped advancing.
-  if (slot.continuous) slot.continuous->Finalize();
-}
-
 void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
   // --- Tracer merge: replay worker traces in canonical order ------------
   profiling::TracerOptions options;
@@ -455,12 +407,16 @@ void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
   }
 }
 
-sim::ShardGroup::RunOptions FleetSimulation::AdvanceOptions(
-    PlatformSlot& slot) const {
-  // Serial, unprobed; the same post-horizon hook as RunSlot so epoch
-  // coalescing — and with it the digested epoch counts — matches a
-  // one-shot run exactly.
+sim::ShardGroup::RunOptions FleetSimulation::GroupOptions(
+    PlatformSlot& slot, bool parallel) const {
   sim::ShardGroup::RunOptions options;
+  options.parallel = parallel;
+  // Post-horizon hook for epoch coalescing: workers report their
+  // engine's flagged-event bound; the storage kernel (last) posts only
+  // synchronously inside delivered events, so its own next-event time
+  // is a sound bound (Max when drained). Every caller passes the same
+  // hook, so the digested epoch counts never depend on how a run was
+  // stepped.
   PlatformSlot* slot_ptr = &slot;
   options.post_horizon = [slot_ptr](uint32_t kernel) -> SimTime {
     if (kernel < slot_ptr->workers.size()) {
@@ -471,28 +427,28 @@ sim::ShardGroup::RunOptions FleetSimulation::AdvanceOptions(
   return options;
 }
 
-void FleetSimulation::Start() {
-  assert(!ran_);
-  ran_ = true;
-  started_ = true;
+void FleetSimulation::StartSlot(PlatformSlot& slot) {
   if (config_.queries_per_platform == 0) return;  // serving: Submit-driven
-  for (auto& slot_ptr : slots_) {
-    PlatformSlot& slot = *slot_ptr;
-    if (slot.sharded) {
-      for (auto& worker : slot.workers) {
-        worker->engine->Run(config_.queries_per_platform,
-                            config_.arrival_rate_qps, []() {});
-      }
-    } else {
-      slot.engine->Run(config_.queries_per_platform, config_.arrival_rate_qps,
-                       []() {});
+  if (slot.sharded) {
+    for (auto& worker : slot.workers) {
+      worker->engine->Run(config_.queries_per_platform,
+                          config_.arrival_rate_qps, []() {});
     }
+  } else {
+    slot.engine->Run(config_.queries_per_platform, config_.arrival_rate_qps,
+                     []() {});
   }
+}
+
+void FleetSimulation::Start() {
+  assert(!started_);
+  started_ = true;
+  for (auto& slot_ptr : slots_) StartSlot(*slot_ptr);
 }
 
 bool FleetSimulation::AdvanceSlot(PlatformSlot& slot, SimTime until) {
   if (slot.sharded) {
-    return slot.group->Advance(until, AdvanceOptions(slot));
+    return slot.group->Advance(until, GroupOptions(slot, /*parallel=*/false));
   }
   if (until == SimTime::Max()) {
     slot.simulator->Run();
@@ -517,43 +473,49 @@ bool FleetSimulation::Advance(SimTime until) {
   return more;
 }
 
-void FleetSimulation::Finish() {
-  assert(started_ && !finished_);
-  finished_ = true;
-  for (auto& slot_ptr : slots_) {
-    PlatformSlot& slot = *slot_ptr;
-    if (slot.sharded) {
-      slot.group->Advance(SimTime::Max(), AdvanceOptions(slot));
-      FinalizePlatform(slot);
-    } else {
-      slot.simulator->Run();
-      if (slot.continuous) slot.continuous->Finalize();
-    }
+void FleetSimulation::FinishSlot(PlatformSlot& slot, bool parallel) {
+  if (slot.sharded) {
+    slot.group->Advance(SimTime::Max(), GroupOptions(slot, parallel));
+    FinalizePlatform(slot);
+  } else {
+    slot.simulator->Run();
+    // Seal and evaluate the trailing window(s) now that virtual time has
+    // stopped advancing.
+    if (slot.continuous) slot.continuous->Finalize();
   }
 }
 
+void FleetSimulation::Finish() {
+  assert(started_ && !finished_);
+  finished_ = true;
+  for (auto& slot_ptr : slots_) FinishSlot(*slot_ptr, /*parallel=*/false);
+}
+
 void FleetSimulation::RunAll() {
-  assert(!ran_);
-  ran_ = true;
   // parallelism <= 1 selects the fully serial path: no pool, no shard
-  // runner threads. Otherwise sharded platforms spawn their own
-  // persistent runners (one thread per kernel) and the pool only spreads
-  // whole platforms; with several sharded platforms this oversubscribes
-  // cores rather than serializing kernels — wall-clock only, results are
-  // bit-identical either way.
-  size_t resolved = ThreadPool::ResolveParallelism(config_.parallelism);
-  if (resolved <= 1) {
-    for (size_t i = 0; i < slots_.size(); ++i) RunSlot(i, false);
-    return;
-  }
-  size_t threads = std::min(resolved, slots_.size());
+  // runner threads. Otherwise the pool spreads whole platforms and
+  // sharded platforms spawn their own runners (one thread per kernel);
+  // with several sharded platforms this oversubscribes cores rather than
+  // serializing kernels — wall-clock only, results are bit-identical
+  // either way.
+  const size_t threads = ThreadPool::ResolveParallelism(config_.parallelism);
   if (threads <= 1) {
-    for (size_t i = 0; i < slots_.size(); ++i) RunSlot(i, true);
+    Start();
+    Finish();
     return;
   }
-  ThreadPool pool(threads);
-  pool.ParallelFor(slots_.size(),
-                   [this](size_t index) { RunSlot(index, true); });
+  assert(!started_);
+  started_ = true;
+  finished_ = true;
+  // Each platform's job schedules its own workload, so its events are
+  // allocated in the malloc arena of the thread that runs them;
+  // scheduling every platform on the calling thread first would strand
+  // the initial event heaps in the caller's arena and raise peak RSS.
+  ThreadPool pool(std::min(threads, slots_.size()));
+  pool.ParallelFor(slots_.size(), [this](size_t index) {
+    StartSlot(*slots_[index]);
+    FinishSlot(*slots_[index], /*parallel=*/true);
+  });
 }
 
 PlatformResult FleetSimulation::Result(size_t index) const {
@@ -608,8 +570,9 @@ const profiling::Tracer& FleetSimulation::TracerOf(size_t index) const {
   assert(index < slots_.size());
   const PlatformSlot& slot = *slots_[index];
   if (slot.sharded) {
-    // Post-run: the canonical merged view. Mid-run (probes): worker 0's
-    // live tracer — a representative, self-consistent partial view.
+    // Post-run: the canonical merged view. Mid-run (paused between
+    // Advance calls): worker 0's live tracer — a representative,
+    // self-consistent partial view.
     return slot.merged_tracer ? *slot.merged_tracer
                               : *slot.workers[0]->tracer;
   }
@@ -662,11 +625,6 @@ PlatformEngine& FleetSimulation::MutableEngineOf(size_t index) {
   PlatformSlot& slot = *slots_[index];
   assert(!slot.sharded && "serving admission requires a fused platform");
   return *slot.engine;
-}
-
-sim::Simulator& FleetSimulation::SimulatorOf(size_t index) {
-  assert(index < slots_.size());
-  return *slots_[index]->simulator;
 }
 
 PlatformTotals FleetSimulation::TotalsOf(size_t index) const {

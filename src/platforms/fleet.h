@@ -2,7 +2,6 @@
 #define HYPERPROF_PLATFORMS_FLEET_H_
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -55,10 +54,6 @@ struct FleetConfig {
   // scaling) and higher modeled IO latency; the window is part of the
   // model, so changing it changes results — the shard *count* never does.
   SimTime shard_window = SimTime::Micros(50);
-  // Best-effort pinning of shard runner threads to CPUs spread
-  // round-robin over NUMA nodes (Linux only). Wall-clock only; never
-  // results.
-  bool pin_shard_threads = false;
   // Simulated worker hosts per cluster that clients and fan-out peers are
   // drawn from. 64 reproduces the legacy draws bit-for-bit; scale it
   // together with shards_per_platform to simulate 100k-worker platforms.
@@ -97,16 +92,6 @@ struct FleetConfig {
   net::FaultSpec fault;
   // Scheduled node outage windows, applied to every shard.
   std::vector<net::OutageWindow> outages;
-  // Optional mid-run probe: when `probe_period` is nonzero and `probe` is
-  // set, RunAll drives each shard's simulator in bounded RunUntil steps of
-  // that length and invokes probe(platform_index) between steps (and once
-  // after the shard quiesces). Stepping fires the exact same events in the
-  // exact same order as an unstepped Run, so results stay bit-identical at
-  // every probe setting. In parallel runs the probe is invoked concurrently
-  // from different shards' host threads and must be thread-safe; it may
-  // only inspect the shard whose index it was handed.
-  SimTime probe_period;
-  std::function<void(size_t platform_index)> probe;
 
   FleetConfig() {
     // Size per-fileserver caches well below the simulated working sets so
@@ -162,7 +147,7 @@ struct ShardStats {
   uint32_t shard_count = 0;  // worker kernels; 0 = fused platform
   uint64_t messages_posted = 0;
   uint64_t messages_delivered = 0;
-  uint64_t undelivered = 0;  // must be zero after RunAll
+  uint64_t undelivered = 0;  // must be zero after Finish/RunAll
   uint64_t epochs = 0;
   // Barriers skipped by adaptive epoch coalescing (schedule- and
   // layout-invariant; folded into the simtest digest alongside epochs).
@@ -206,13 +191,20 @@ class FleetSimulation {
   FleetSimulation(const FleetSimulation&) = delete;
   FleetSimulation& operator=(const FleetSimulation&) = delete;
 
-  /** Registers a platform before RunAll. */
+  /** Registers a platform before Start() or RunAll(). */
   void AddPlatform(PlatformSpec spec);
 
   /** Adds the three paper platforms with their calibrated specs. */
   void AddDefaultPlatforms();
 
-  /** Runs every platform's workload to completion. */
+  /**
+   * Runs every platform's workload to completion through the same
+   * per-platform steps as Start() and Finish(). When config.parallelism
+   * resolves to more than one thread, each platform runs both steps as
+   * one job on a thread pool and sharded platforms add one runner thread
+   * per kernel; results are bit-identical either way. Replaces the whole
+   * Start/Advance/Finish sequence — call one or the other.
+   */
   void RunAll();
 
   // --- Incremental execution (the serving front door's substrate) --------
@@ -223,11 +215,11 @@ class FleetSimulation {
   // merges. Start + any sequence of Advance calls + Finish executes the
   // exact same events in the exact same order as RunAll — recovered
   // results are bit-identical, pinned by fleet_parallel_test and the
-  // simtest fuzz digest ("determinism-incremental"). Incremental runs are
+  // simtest fuzz digest ("determinism-replay"). Advance and Finish are
   // serial (every kernel on the calling thread); by the determinism
-  // contract that never changes results. Do not mix with RunAll.
+  // contract that never changes results.
 
-  /** Begins an incremental run: schedules every platform's workload. */
+  /** Begins a run: schedules every platform's workload. */
   void Start();
 
   /**
@@ -268,7 +260,8 @@ class FleetSimulation {
    * Continuous (windowed) profile of platform `index`: the streaming
    * instance for a fused platform, the barrier-merged one for a sharded
    * platform (identical output by construction). nullptr when disabled
-   * (continuous_window == Zero) or, for sharded platforms, before RunAll.
+   * (continuous_window == Zero) or, for sharded platforms, before
+   * Finish/RunAll.
    */
   const profiling::ContinuousProfiler* ContinuousOf(size_t index) const;
 
@@ -290,9 +283,6 @@ class FleetSimulation {
    * owns a fixed query partition and cannot accept ad-hoc admissions.
    */
   PlatformEngine& MutableEngineOf(size_t index);
-
-  /** The platform's event kernel (the storage kernel when sharded). */
-  sim::Simulator& SimulatorOf(size_t index);
 
   /**
    * Summed accounting over every component of platform `index`. Equals
@@ -357,28 +347,31 @@ class FleetSimulation {
   /** Builds a sharded slot (workers + storage kernel + fabric). */
   void AddShardedPlatform(PlatformSpec spec);
 
-  /**
-   * Runs one platform's workload to completion (any thread). `parallel`
-   * lets a sharded platform spawn persistent per-kernel runner threads;
-   * it has no effect on fused platforms and never on results.
-   */
-  void RunSlot(size_t index, bool parallel);
-
   /** Post-run merge of a sharded platform's tracers and profilers. */
   void FinalizePlatform(PlatformSlot& slot);
+
+  /** Schedules one platform's configured workload (any thread). */
+  void StartSlot(PlatformSlot& slot);
 
   /** Advances one platform to `until`; returns true if work remains. */
   bool AdvanceSlot(PlatformSlot& slot, SimTime until);
 
-  /** The Advance()-path RunOptions for a sharded slot (no probe). */
-  sim::ShardGroup::RunOptions AdvanceOptions(PlatformSlot& slot) const;
+  /**
+   * Drains one platform and runs its post-run finalizers (any thread).
+   * `parallel` lets a sharded platform spawn per-kernel runner threads;
+   * it has no effect on fused platforms and never on results.
+   */
+  void FinishSlot(PlatformSlot& slot, bool parallel);
+
+  /** The ShardGroup options of a sharded slot (epoch coalescing on). */
+  sim::ShardGroup::RunOptions GroupOptions(PlatformSlot& slot,
+                                           bool parallel) const;
 
   FleetConfig config_;
   profiling::FunctionRegistry registry_;
   std::vector<std::unique_ptr<PlatformSlot>> slots_;
-  bool ran_ = false;
-  bool started_ = false;   // incremental run in progress
-  bool finished_ = false;  // Finish() completed
+  bool started_ = false;   // Start() (or RunAll) called
+  bool finished_ = false;  // Finish() (or RunAll) completed
 };
 
 }  // namespace hyperprof::platforms

@@ -75,6 +75,9 @@ void VirtualFrontDoor::SubmitTicketed(const Request& request,
   }
   ++counters_.offered;
   if (counters_.in_flight() >= options_.max_in_flight) {
+    // Load shedding: refuse at the door instead of queueing into an
+    // ever-growing backlog. The client sees an immediate kShed and can
+    // back off; the simulation stays at its admission bound.
     ++counters_.shed;
     response.status = ResponseStatus::kShed;
     sink_->OnResponse(ticket, response);
@@ -115,61 +118,6 @@ void VirtualFrontDoor::SubmitTicketedBatch(const Request* requests,
   }
 }
 
-void VirtualFrontDoor::Submit(const Request& request,
-                              ResponseCallback on_done) {
-  assert(started_ && !finished_);
-  if (request.platform >= fleet_->platform_count()) {
-    Response response;
-    response.id = request.id;
-    response.status = ResponseStatus::kError;
-    on_done(response);
-    return;
-  }
-  switch (request.kind) {
-    case RequestKind::kWindows: {
-      Response response;
-      response.id = request.id;
-      FillWindows(request, &response);
-      on_done(response);
-      return;
-    }
-    case RequestKind::kStats: {
-      Response response;
-      response.id = request.id;
-      FillStats(&response);
-      on_done(response);
-      return;
-    }
-    case RequestKind::kQuery:
-      break;
-  }
-  ++counters_.offered;
-  if (counters_.in_flight() >= options_.max_in_flight) {
-    // Load shedding: refuse at the door instead of queueing into an
-    // ever-growing backlog. The client sees an immediate kShed and can
-    // back off; the simulation stays at its admission bound.
-    ++counters_.shed;
-    Response response;
-    response.id = request.id;
-    response.status = ResponseStatus::kShed;
-    on_done(response);
-    return;
-  }
-  ++counters_.admitted;
-  const uint64_t id = request.id;
-  auto done = std::move(on_done);
-  fleet_->MutableEngineOf(request.platform)
-      .Submit([this, id, done](SimTime latency) {
-        ++counters_.completed;
-        ++counters_.responses;
-        Response response;
-        response.id = id;
-        response.status = ResponseStatus::kOk;
-        response.latency_nanos = static_cast<uint64_t>(latency.nanos());
-        done(response);
-      });
-}
-
 bool VirtualFrontDoor::Pump(SimTime until) {
   assert(started_ && !finished_);
   if (until < virtual_now_) until = virtual_now_;
@@ -180,7 +128,7 @@ bool VirtualFrontDoor::Pump(SimTime until) {
 void VirtualFrontDoor::Finish() {
   assert(started_ && !finished_);
   // Run the fleet to quiesce first so every in-flight completion fires
-  // (and its response callback with it) before the post-run merges.
+  // (and its response with it) before the post-run merges.
   fleet_->Advance(SimTime::Max());
   finished_ = true;
   fleet_->Finish();

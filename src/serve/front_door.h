@@ -2,7 +2,6 @@
 #define HYPERPROF_SERVE_FRONT_DOOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -26,8 +25,8 @@ struct FrontDoorOptions {
   /**
    * Fleet configuration. queries_per_platform is forced to zero — a
    * serving fleet has no batch workload; every query enters through
-   * Submit. Sharded platforms are not supported (a sharded engine owns a
-   * fixed query partition); keep shards_per_platform = 0.
+   * SubmitTicketed. Sharded platforms are not supported (a sharded engine
+   * owns a fixed query partition); keep shards_per_platform = 0.
    */
   platforms::FleetConfig fleet;
   /**
@@ -57,17 +56,14 @@ struct FrontDoorOptions {
  */
 class VirtualFrontDoor {
  public:
-  using ResponseCallback = std::function<void(const Response&)>;
-
   /**
-   * Allocation-free response delivery for the ticketed path. The daemon
-   * registers one sink; every response — synchronous (shed/error/
-   * windows/stats) or a completion fired from inside Pump() — arrives
-   * here tagged with the submission's ticket. `response` is mutable so
-   * the receiver can stamp its own request id (completions carry id 0;
-   * the front door does not retain request ids for admitted queries) and
-   * serialize in place. The reference is only valid for the duration of
-   * the call.
+   * Allocation-free response delivery. The daemon registers one sink;
+   * every response — synchronous (shed/error/windows/stats) or a
+   * completion fired from inside Pump() — arrives here tagged with the
+   * submission's ticket. `response` is mutable so the receiver can stamp
+   * its own request id (completions carry id 0; the front door does not
+   * retain request ids for admitted queries) and serialize in place. The
+   * reference is only valid for the duration of the call.
    */
   class ResponseSink {
    public:
@@ -89,15 +85,7 @@ class VirtualFrontDoor {
   /** Opens the door (starts the incremental fleet run). */
   void Start();
 
-  /**
-   * Handles one decoded request. kWindows/kStats respond synchronously;
-   * kQuery either sheds synchronously (overload, `on_done` fires before
-   * Submit returns) or admits the query, in which case `on_done` fires
-   * from inside a later Pump() once the query completes in virtual time.
-   */
-  void Submit(const Request& request, ResponseCallback on_done);
-
-  /** Registers the ticketed-path sink. Required before SubmitTicketed. */
+  /** Registers the response sink. Required before SubmitTicketed. */
   void set_sink(ResponseSink* sink) { sink_ = sink; }
 
   /**
@@ -109,9 +97,12 @@ class VirtualFrontDoor {
   }
 
   /**
-   * Ticketed Submit: same admission semantics, but every response is
-   * delivered to the registered ResponseSink with `ticket` and the whole
-   * path — admission, completion, delivery — allocates nothing.
+   * Handles one decoded request; every response reaches the registered
+   * ResponseSink with `ticket`. kWindows/kStats respond synchronously;
+   * kQuery either sheds synchronously (overload: the sink fires before
+   * SubmitTicketed returns) or admits the query, whose response fires
+   * from inside a later Pump() once it completes in virtual time. The
+   * whole path — admission, completion, delivery — allocates nothing.
    */
   void SubmitTicketed(const Request& request, uint64_t ticket);
 

@@ -2,64 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <condition_variable>
 #include <exception>
 #include <mutex>
-#include <string>
+#include <optional>
 #include <thread>
 #include <utility>
-
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-
-#include <fstream>
-#endif
 
 namespace hyperprof::sim {
 
 namespace {
-
-/**
- * CPU ids grouped by NUMA node, from sysfs on Linux; a single flat node
- * everywhere else (or when sysfs is unavailable).
- */
-std::vector<std::vector<int>> ReadCpuTopology() {
-  std::vector<std::vector<int>> nodes;
-#ifdef __linux__
-  for (int node = 0;; ++node) {
-    std::ifstream in("/sys/devices/system/node/node" + std::to_string(node) +
-                     "/cpulist");
-    if (!in) break;
-    std::string list;
-    std::getline(in, list);
-    std::vector<int> cpus;
-    size_t pos = 0;
-    while (pos < list.size()) {
-      size_t comma = list.find(',', pos);
-      if (comma == std::string::npos) comma = list.size();
-      std::string range = list.substr(pos, comma - pos);
-      size_t dash = range.find('-');
-      if (!range.empty()) {
-        int lo = std::stoi(range.substr(0, dash));
-        int hi = dash == std::string::npos ? lo : std::stoi(range.substr(dash + 1));
-        for (int cpu = lo; cpu <= hi; ++cpu) cpus.push_back(cpu);
-      }
-      pos = comma + 1;
-    }
-    if (!cpus.empty()) nodes.push_back(std::move(cpus));
-  }
-#endif
-  if (nodes.empty()) {
-    unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-    nodes.emplace_back();
-    for (unsigned cpu = 0; cpu < hw; ++cpu) {
-      nodes.back().push_back(static_cast<int>(cpu));
-    }
-  }
-  return nodes;
-}
 
 /** Canonical per-destination delivery order; unique per barrier. */
 bool EnvelopeBefore(const ShardEnvelope& a, const ShardEnvelope& b) {
@@ -131,8 +83,7 @@ void ShardGroup::SweepArenas() {
   }
 }
 
-bool ShardGroup::PlanEpoch(const RunOptions& options, SimTime& start_out,
-                           SimTime& deadline) {
+bool ShardGroup::PlanEpoch(const RunOptions& options, SimTime& deadline) {
   SimTime start = SimTime::Max();
   for (Simulator* kernel : kernels_) {
     start = std::min(start, kernel->next_event_time());
@@ -146,7 +97,7 @@ bool ShardGroup::PlanEpoch(const RunOptions& options, SimTime& start_out,
   }
   if (start == SimTime::Max()) return false;  // global quiesce
   deadline = start + window_;
-  if (options.adaptive && !have_messages && options.post_horizon) {
+  if (!have_messages && options.post_horizon) {
     SimTime horizon = SimTime::Max();
     for (uint32_t k = 0; k < kernels_.size(); ++k) {
       horizon = std::min(horizon, options.post_horizon(k));
@@ -166,7 +117,6 @@ bool ShardGroup::PlanEpoch(const RunOptions& options, SimTime& start_out,
       coalesced_epochs_ += static_cast<uint64_t>(extra);
     }
   }
-  start_out = start;
   return true;
 }
 
@@ -241,158 +191,147 @@ void ShardGroup::RunKernel(uint32_t k, SimTime deadline) {
   }
 }
 
-void ShardGroup::RunSerial(const RunOptions& options) {
-  const bool probing = options.probe && options.probe_period > SimTime::Zero();
-  SimTime next_probe = SimTime::Max();
-  for (;;) {
-    SweepArenas();
-    SimTime start, deadline;
-    if (!PlanEpoch(options, start, deadline)) break;
-    if (probing && next_probe == SimTime::Max()) {
-      next_probe = start + options.probe_period;
-    }
-    SwapMailboxes();
-    for (uint32_t k = 0; k < kernels_.size(); ++k) RunKernel(k, deadline);
-    ++epochs_;
-    if (probing && deadline >= next_probe) {
-      options.probe();
-      next_probe = deadline == SimTime::Max()
-                       ? SimTime::Max()
-                       : deadline + options.probe_period;
-    }
-  }
-}
-
-void ShardGroup::RunParallel(const RunOptions& options) {
-  const size_t n = kernels_.size();
-  const uint32_t runners = static_cast<uint32_t>(n - 1);
-
-  // One-barrier-per-epoch ticket protocol. The coordinator (the calling
-  // thread, which doubles as the last kernel's runner) publishes
-  // (deadline, stop) and release-increments `ticket`; runners observe the
-  // new ticket (acquire), deliver their inbox, run their kernel to the
-  // deadline, and release-increment `arrived`. The coordinator's acquire
-  // loop on `arrived` then receives all their writes before it touches
-  // shared state (mailbox flips, arena sweeps, counters, probes).
-  struct Control {
-    std::mutex mutex;
-    std::condition_variable ticket_cv;
-    std::condition_variable done_cv;
-    std::atomic<uint64_t> ticket{0};
-    std::atomic<uint32_t> arrived{0};
-    SimTime deadline;
-    bool stop = false;
-    std::exception_ptr error;  // first runner failure, guarded by mutex
-  } ctl;
-
-  std::vector<std::thread> threads;
-  threads.reserve(runners);
-  for (uint32_t k = 0; k < runners; ++k) {
-    threads.emplace_back([this, &ctl, &options, runners, k]() {
-      if (options.pin_threads) PinTo(k);
-      uint64_t epoch = 0;
-      for (;;) {
-        // Spin briefly (epochs are short), then park on the condvar.
-        uint64_t t = ctl.ticket.load(std::memory_order_acquire);
-        for (int spin = 0; t == epoch && spin < 4096; ++spin) {
-          t = ctl.ticket.load(std::memory_order_acquire);
-        }
-        if (t == epoch) {
-          std::unique_lock<std::mutex> lock(ctl.mutex);
-          ctl.ticket_cv.wait(lock, [&] {
-            return ctl.ticket.load(std::memory_order_acquire) != epoch;
-          });
-          t = ctl.ticket.load(std::memory_order_acquire);
-        }
-        epoch = t;
-        if (ctl.stop) return;
-        try {
-          RunKernel(k, ctl.deadline);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(ctl.mutex);
-          if (!ctl.error) ctl.error = std::current_exception();
-        }
-        if (ctl.arrived.fetch_add(1, std::memory_order_release) + 1 ==
-            runners) {
-          std::lock_guard<std::mutex> lock(ctl.mutex);
-          ctl.done_cv.notify_one();
-        }
+/**
+ * Executes Advance's "run every kernel to T" steps on one persistent
+ * runner thread per kernel beyond the caller's, which runs the last
+ * kernel. Lives for one Advance call: the destructor stops and joins the
+ * runners, which every Step has parked again before it returns or throws.
+ *
+ * One-barrier-per-step ticket protocol. The caller publishes (deadline,
+ * stop) and release-increments `ticket_`; runners observe the new ticket
+ * (acquire), deliver their inbox, run their kernel to the deadline, and
+ * release-increment `arrived_`. The caller's acquire loop on `arrived_`
+ * then receives all their writes before it touches shared state (mailbox
+ * flips, arena sweeps, counters).
+ */
+class ShardGroup::Runners {
+ public:
+  explicit Runners(ShardGroup& group)
+      : group_(group),
+        count_(static_cast<uint32_t>(group.kernels_.size() - 1)) {
+    threads_.reserve(count_);
+    try {
+      for (uint32_t k = 0; k < count_; ++k) {
+        threads_.emplace_back([this, k] { Loop(k); });
       }
-    });
+    } catch (...) {
+      Stop();  // a failed spawn must not leave started runners unjoined
+      throw;
+    }
   }
 
-  auto publish = [&ctl](SimTime deadline, bool stop) {
+  Runners(const Runners&) = delete;
+  Runners& operator=(const Runners&) = delete;
+
+  ~Runners() { Stop(); }
+
+  /** Runs every kernel to `deadline`; rethrows the first kernel failure. */
+  void Step(SimTime deadline) {
+    Publish(deadline, /*stop=*/false);
+    std::exception_ptr caller_error;
+    try {
+      group_.RunKernel(count_, deadline);
+    } catch (...) {
+      caller_error = std::current_exception();
+    }
+    WaitArrivals();
+    if (caller_error) std::rethrow_exception(caller_error);
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  void Loop(uint32_t k) {
+    uint64_t seen = 0;
+    for (;;) {
+      // Spin briefly (epochs are short), then park on the condvar.
+      uint64_t t = ticket_.load(std::memory_order_acquire);
+      for (int spin = 0; t == seen && spin < 4096; ++spin) {
+        t = ticket_.load(std::memory_order_acquire);
+      }
+      if (t == seen) {
+        std::unique_lock<std::mutex> lock(mutex_);
+        ticket_cv_.wait(lock, [&] {
+          return ticket_.load(std::memory_order_acquire) != seen;
+        });
+        t = ticket_.load(std::memory_order_acquire);
+      }
+      seen = t;
+      if (stop_) return;
+      try {
+        group_.RunKernel(k, deadline_);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!error_) error_ = std::current_exception();
+      }
+      if (arrived_.fetch_add(1, std::memory_order_release) + 1 == count_) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        done_cv_.notify_one();
+      }
+    }
+  }
+
+  void Stop() {
+    Publish(SimTime::Zero(), /*stop=*/true);
+    for (std::thread& thread : threads_) thread.join();
+  }
+
+  void Publish(SimTime deadline, bool stop) {
     {
-      std::lock_guard<std::mutex> lock(ctl.mutex);
-      ctl.deadline = deadline;
-      ctl.stop = stop;
-      ctl.ticket.fetch_add(1, std::memory_order_release);
+      std::lock_guard<std::mutex> lock(mutex_);
+      deadline_ = deadline;
+      stop_ = stop;
+      ticket_.fetch_add(1, std::memory_order_release);
     }
-    ctl.ticket_cv.notify_all();
-  };
-  auto wait_runners = [&ctl, runners]() {
-    uint32_t done = ctl.arrived.load(std::memory_order_acquire);
-    for (int spin = 0; done != runners && spin < 65536; ++spin) {
-      done = ctl.arrived.load(std::memory_order_acquire);
+    ticket_cv_.notify_all();
+  }
+
+  void WaitArrivals() {
+    uint32_t done = arrived_.load(std::memory_order_acquire);
+    for (int spin = 0; done != count_ && spin < 65536; ++spin) {
+      done = arrived_.load(std::memory_order_acquire);
     }
-    if (done != runners) {
-      std::unique_lock<std::mutex> lock(ctl.mutex);
-      ctl.done_cv.wait(lock, [&] {
-        return ctl.arrived.load(std::memory_order_acquire) == runners;
+    if (done != count_) {
+      std::unique_lock<std::mutex> lock(mutex_);
+      done_cv_.wait(lock, [&] {
+        return arrived_.load(std::memory_order_acquire) == count_;
       });
     }
     // Plain reset is published to runners by the next ticket increment.
-    ctl.arrived.store(0, std::memory_order_relaxed);
-  };
-
-  if (options.pin_threads) PinTo(runners);
-  std::exception_ptr coordinator_error;
-  try {
-    const bool probing =
-        options.probe && options.probe_period > SimTime::Zero();
-    SimTime next_probe = SimTime::Max();
-    for (;;) {
-      SweepArenas();
-      SimTime start, deadline;
-      if (!PlanEpoch(options, start, deadline)) break;
-      if (probing && next_probe == SimTime::Max()) {
-        next_probe = start + options.probe_period;
-      }
-      SwapMailboxes();
-      publish(deadline, /*stop=*/false);
-      RunKernel(runners, deadline);  // the caller runs the last kernel
-      wait_runners();
-      ++epochs_;
-      if (probing && deadline >= next_probe) {
-        options.probe();
-        next_probe = deadline == SimTime::Max()
-                         ? SimTime::Max()
-                         : deadline + options.probe_period;
-      }
-      bool failed;
-      {
-        std::lock_guard<std::mutex> lock(ctl.mutex);
-        failed = ctl.error != nullptr;
-      }
-      if (failed) break;
-    }
-  } catch (...) {
-    coordinator_error = std::current_exception();
+    arrived_.store(0, std::memory_order_relaxed);
   }
-  publish(SimTime::Zero(), /*stop=*/true);
-  for (std::thread& thread : threads) thread.join();
-  if (coordinator_error) std::rethrow_exception(coordinator_error);
-  if (ctl.error) std::rethrow_exception(ctl.error);  // threads joined
-}
+
+  ShardGroup& group_;
+  const uint32_t count_;
+  std::mutex mutex_;
+  std::condition_variable ticket_cv_;
+  std::condition_variable done_cv_;
+  std::atomic<uint64_t> ticket_{0};
+  std::atomic<uint32_t> arrived_{0};
+  SimTime deadline_;
+  bool stop_ = false;
+  std::exception_ptr error_;  // first runner failure, guarded by mutex_
+  std::vector<std::thread> threads_;
+};
 
 bool ShardGroup::Advance(SimTime until, const RunOptions& options) {
+  std::optional<Runners> runners;
+  if (options.parallel && kernels_.size() > 1) runners.emplace(*this);
+  auto run_kernels = [&](SimTime deadline) {
+    if (runners) {
+      runners->Step(deadline);
+    } else {
+      for (uint32_t k = 0; k < kernels_.size(); ++k) RunKernel(k, deadline);
+    }
+  };
   for (;;) {
     if (!epoch_open_) {
       SweepArenas();
-      SimTime start, deadline;
-      if (!PlanEpoch(options, start, deadline)) {
-        // Global quiesce: the same epilogue as Run() — a final drain pops
-        // stale cancelled heap entries so kernels report a clean quiesce.
+      SimTime deadline;
+      if (!PlanEpoch(options, deadline)) {
+        // Global quiesce: a final drain pops stale cancelled heap entries
+        // (RunUntil stops scanning at its deadline), so kernels report a
+        // clean quiesce.
         for (Simulator* kernel : kernels_) kernel->Run();
         SweepArenas();
         return false;
@@ -407,11 +346,11 @@ bool ShardGroup::Advance(SimTime until, const RunOptions& options) {
       // it at its original deadline. DeliverInbox is a no-op on re-entry
       // (the first partial run cleared the inboxes), so the merged
       // delivery order is exactly the one-shot order.
-      for (uint32_t k = 0; k < kernels_.size(); ++k) RunKernel(k, until);
+      run_kernels(until);
       // A drain epoch (deadline = Max, planned only when no kernel can
       // ever post again) completes as soon as every kernel is out of
-      // events, even at a finite horizon — one-shot runs it with Run(),
-      // which stops at the same point.
+      // events, even at a finite horizon — an unpaused step runs it with
+      // Simulator::Run(), which stops at the same point.
       if (epoch_deadline_ == SimTime::Max()) {
         bool quiesced = true;
         for (Simulator* kernel : kernels_) {
@@ -425,30 +364,10 @@ bool ShardGroup::Advance(SimTime until, const RunOptions& options) {
       }
       return true;
     }
-    for (uint32_t k = 0; k < kernels_.size(); ++k) {
-      RunKernel(k, epoch_deadline_);
-    }
+    run_kernels(epoch_deadline_);
     ++epochs_;
     epoch_open_ = false;
   }
-}
-
-uint64_t ShardGroup::Run(const RunOptions& options) {
-  assert(!epoch_open_ && "Run() after a partial Advance() is unsupported");
-  if (options.pin_threads && pin_cpus_.empty()) SetupPinning();
-  if (options.parallel && kernels_.size() > 1) {
-    RunParallel(options);
-  } else {
-    RunSerial(options);
-  }
-  // A final drain pops any stale cancelled heap entries (RunUntil stops
-  // scanning at its deadline), so kernels report a clean quiesce.
-  for (Simulator* kernel : kernels_) kernel->Run();
-  SweepArenas();
-  if (options.probe && options.probe_period > SimTime::Zero()) {
-    options.probe();
-  }
-  return epochs_;
 }
 
 uint64_t ShardGroup::messages_posted() const {
@@ -477,32 +396,6 @@ uint64_t ShardGroup::late_deliveries() const {
   uint64_t total = 0;
   for (const Dest& dest : dests_) total += dest.late;
   return total;
-}
-
-void ShardGroup::SetupPinning() {
-  std::vector<std::vector<int>> nodes = ReadCpuTopology();
-  pin_cpus_.resize(kernels_.size(), -1);
-  for (size_t k = 0; k < kernels_.size(); ++k) {
-    const std::vector<int>& cpus = nodes[k % nodes.size()];
-    pin_cpus_[k] = cpus[(k / nodes.size()) % cpus.size()];
-  }
-}
-
-void ShardGroup::PinTo(uint32_t kernel_index) const {
-#ifdef __linux__
-  if (kernel_index >= pin_cpus_.size() || pin_cpus_[kernel_index] < 0) return;
-  thread_local int pinned_cpu = -1;
-  int cpu = pin_cpus_[kernel_index];
-  if (pinned_cpu == cpu) return;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  if (pthread_setaffinity_np(pthread_self(), sizeof(set), &set) == 0) {
-    pinned_cpu = cpu;
-  }
-#else
-  (void)kernel_index;
-#endif
 }
 
 }  // namespace hyperprof::sim

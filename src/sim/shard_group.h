@@ -57,47 +57,33 @@ struct ShardEnvelope {
  * Any shard count — including one — produces bit-identical simulations,
  * with or without runner threads.
  *
- * Hot-path design (DESIGN.md §14): each kernel gets a persistent runner
- * parked on an atomic epoch-ticket barrier (one barrier per epoch, not
- * per-epoch thread-pool enqueues); envelopes carry 48-byte-SBO
- * InlineFunction payloads with oversized captures placed in per-source
- * recycled arenas, so steady-state cross-shard traffic performs zero heap
- * allocations; and when a barrier finds every mailbox empty, the
- * post-horizon hook lets the group coalesce provably message-free windows
- * into one long epoch.
+ * Hot-path design (DESIGN.md §14): a parallel Advance gives each kernel
+ * a persistent runner parked on an atomic epoch-ticket barrier (one
+ * barrier per epoch, not per-epoch thread-pool enqueues); envelopes carry
+ * 48-byte-SBO InlineFunction payloads with oversized captures placed in
+ * per-source recycled arenas, so steady-state cross-shard traffic
+ * performs zero heap allocations; and when a barrier finds every mailbox
+ * empty, the post-horizon hook lets the group coalesce provably
+ * message-free windows into one long epoch.
  */
 class ShardGroup {
  public:
   struct RunOptions {
     /**
      * Spawn one persistent runner thread per kernel beyond the caller's
-     * (which runs the last kernel); false runs every kernel on the
-     * calling thread. Either way the results are bit-identical.
+     * (which runs the last kernel) for the duration of the Advance call;
+     * false runs every kernel on the calling thread. Either way the
+     * results are bit-identical.
      */
     bool parallel = false;
-    /**
-     * Best-effort pinning of each kernel's runner to a fixed CPU, spread
-     * round-robin over NUMA nodes (Linux only; ignored elsewhere). The
-     * calling thread is pinned too (it runs the last kernel). Placement
-     * affects wall-clock only, never results.
-     */
-    bool pin_threads = false;
-    /** When nonzero, `probe` fires at barriers every `probe_period`. */
-    SimTime probe_period;
-    /** Read-only observer; runs with every kernel parked at the barrier. */
-    std::function<void()> probe;
-    /**
-     * Enables epoch coalescing. When a barrier finds every mailbox empty
-     * and `post_horizon` is set, the epoch extends over every whole
-     * window that provably contains no cross-shard post.
-     */
-    bool adaptive = true;
     /**
      * Sound per-kernel lower bound on the next simulated time at which
      * that kernel may call Post (SimTime::Max() when it provably never
      * will again). Called only at barriers, with every runner parked.
      * The bound must be schedule- and layout-invariant, or digests will
-     * diverge. Null disables coalescing.
+     * diverge. When set, a barrier that finds every mailbox empty extends
+     * the epoch over every whole window that provably contains no
+     * cross-shard post (epoch coalescing); null disables coalescing.
      */
     std::function<SimTime(uint32_t kernel)> post_horizon;
   };
@@ -155,21 +141,17 @@ class ShardGroup {
   }
 
   /**
-   * Runs epochs until every kernel quiesces and all mailboxes drain,
-   * then drains stale cancelled heap entries so kernels report a clean
-   * quiesce. Returns the number of epochs executed. Runner threads live
-   * only inside this call. Must not be interleaved with Advance().
-   */
-  uint64_t Run(const RunOptions& options);
-
-  /**
-   * Incremental execution: advances every kernel to virtual time `until`
-   * and pauses, preserving bit-identity with a single Run() — an
-   * advance-in-K-steps run executes the exact same events in the exact
-   * same order, flips mailboxes at the exact same barriers, and ends with
-   * identical epoch/coalescing counts (pinned by the simtest fuzz
-   * digest's "determinism-incremental" comparison).
+   * The group's only epoch loop: advances every kernel to virtual time
+   * `until` and pauses. Advance(SimTime::Max()) runs until every kernel
+   * quiesces and all mailboxes drain, then drains stale cancelled heap
+   * entries so kernels report a clean quiesce. Returns true while work
+   * remains (paused at `until`), false once the group has fully quiesced.
    *
+   * Pausing is invisible: an advance-in-K-steps run executes the exact
+   * same events in the exact same order as one Advance(Max) call, flips
+   * mailboxes at the exact same barriers, and ends with identical
+   * epoch/coalescing counts (pinned by the simtest fuzz digest's
+   * "determinism-replay" comparison of a stepped and a one-shot run).
    * The key is that a pause never becomes a barrier: when `until` falls
    * inside a planned epoch, the group runs each kernel to `until` and
    * keeps the epoch *open* — mailboxes are not flipped and the epoch plan
@@ -177,12 +159,10 @@ class ShardGroup {
    * closes it at its original deadline. Epoch plans therefore see exactly
    * the kernel states a one-shot run would see.
    *
-   * Returns true while work remains (paused at `until`), false once the
-   * group has fully quiesced (after which it runs the same final-drain
-   * epilogue as Run()). Advance(SimTime::Max()) runs to completion.
-   * Serial only: kernels run on the calling thread (bit-identical to the
-   * parallel path by the determinism contract); `options.parallel` and
-   * the probe hooks are ignored. Do not mix with Run().
+   * With `options.parallel` and more than one kernel, runner threads
+   * execute each "run every kernel to T" step; they start inside this
+   * call and are joined before it returns or rethrows a kernel's
+   * exception.
    */
   bool Advance(SimTime until, const RunOptions& options);
 
@@ -197,9 +177,10 @@ class ShardGroup {
   uint64_t messages_posted() const;
   uint64_t messages_delivered() const;
   /**
-   * Envelopes still buffered; zero after Run() returns. Maintained from
-   * per-source posted and per-destination delivered counters (updated by
-   * exactly one thread each), so probing it per-barrier stays O(shards).
+   * Envelopes still buffered; zero once Advance() returns false.
+   * Maintained from per-source posted and per-destination delivered
+   * counters (updated by exactly one thread each), so reading it costs
+   * O(shards).
    */
   size_t undelivered() const;
   /**
@@ -248,8 +229,7 @@ class ShardGroup {
    * staged run heads (applying coalescing when eligible). Returns false
    * on global quiesce. Coordinator only, runners parked.
    */
-  bool PlanEpoch(const RunOptions& options, SimTime& start_out,
-                 SimTime& deadline);
+  bool PlanEpoch(const RunOptions& options, SimTime& deadline);
   /** Flips non-empty staged mailboxes to inboxes. Runners parked. */
   void SwapMailboxes();
   /**
@@ -260,10 +240,8 @@ class ShardGroup {
   void DeliverInbox(uint32_t to);
   /** Delivers, then advances kernel `k` to `deadline` (Max = drain). */
   void RunKernel(uint32_t k, SimTime deadline);
-  void RunSerial(const RunOptions& options);
-  void RunParallel(const RunOptions& options);
-  void SetupPinning();
-  void PinTo(uint32_t kernel_index) const;
+  /** Runner threads of one parallel Advance call (shard_group.cc). */
+  class Runners;
 
   std::vector<Simulator*> kernels_;
   SimTime window_;
@@ -278,12 +256,11 @@ class ShardGroup {
   std::vector<Source> sources_;
   std::vector<Dest> dests_;
   std::vector<std::vector<size_t>> merge_scratch_;  // per-dest run cursors
-  std::vector<int> pin_cpus_;                       // kernel -> cpu, or -1
   uint64_t epochs_ = 0;
   uint64_t coalesced_epochs_ = 0;
-  // Advance() pause state: the in-progress epoch's planned deadline. An
-  // open epoch has had its mailboxes flipped and (possibly partially) run;
-  // it completes — and only then is a new epoch planned — once Advance is
+  // Pause state: the in-progress epoch's planned deadline. An open epoch
+  // has had its mailboxes flipped and (possibly partially) run; it
+  // completes — and only then is a new epoch planned — once Advance is
   // called with `until` >= the stored deadline.
   bool epoch_open_ = false;
   SimTime epoch_deadline_;

@@ -1,6 +1,5 @@
 #include "testing/simtest.h"
 
-#include <mutex>
 #include <utility>
 
 #include "common/rng.h"
@@ -11,18 +10,16 @@ namespace hyperprof::testing {
 namespace {
 
 /**
- * Invariants safe to assert while a shard is still mid-flight: ledger
+ * Invariants safe to assert while a platform is still mid-flight: ledger
  * bounds and counter relations that must hold at every instant, not just
- * at quiesce. Called from the probe hook — possibly concurrently from
- * different shards' host threads — so it only reads shard `index` and
- * appends under the caller's mutex.
+ * at quiesce. Runs between the stepped primary's Advance calls, with
+ * every kernel of platform `index` paused at `now`.
  */
 void MidRunCheck(const platforms::FleetSimulation& fleet, size_t index,
-                 SimTime now, std::mutex& mu, std::vector<Violation>& out) {
-  std::vector<Violation> local;
+                 SimTime now, std::vector<Violation>& out) {
   const std::string& name = fleet.EngineOf(index).spec().name;
   auto report = [&](const char* detail) {
-    local.push_back(Violation{
+    out.push_back(Violation{
         "mid-run", name,
         StrFormat("%s at t=%.6fs", detail, now.ToSeconds())});
   };
@@ -53,59 +50,35 @@ void MidRunCheck(const platforms::FleetSimulation& fleet, size_t index,
   if (tracer.open_traces() !=
       tracer.queries_sampled() - tracer.queries_finished())
     report("open traces != sampled - finished");
-
-  if (!local.empty()) {
-    std::lock_guard<std::mutex> lock(mu);
-    for (auto& violation : local) out.push_back(std::move(violation));
-  }
 }
 
 /**
- * Builds and runs the scenario's fleet once at the given parallelism.
- * When `probe_period` is nonzero the run is stepped and `probe_out`
- * collects mid-run violations. When `incremental` is true the run goes
- * through Start/Advance/Finish with seed-derived random horizons instead
- * of RunAll — the serving daemon's pause-and-resume surface.
+ * Builds and runs the scenario's fleet once. With `mid_run` set, this is
+ * the stepped primary: Start, then Advance at seed-derived virtual-time
+ * horizons (the serving daemon's pause-and-resume surface) with
+ * MidRunCheck on every platform after each step, then Finish. Otherwise
+ * it is one RunAll at `parallelism`.
  */
 RunArtifacts ExecuteOnce(const Scenario& scenario, uint32_t parallelism,
-                         SimTime probe_period,
-                         std::vector<Violation>* probe_out,
-                         bool incremental = false) {
+                         std::vector<Violation>* mid_run) {
   platforms::FleetConfig config = scenario.config;
   config.parallelism = parallelism;
-  config.probe_period = SimTime::Zero();
-  config.probe = nullptr;
-
-  // The probe closure needs the fleet, which needs the config: capture a
-  // pointer slot by reference and fill it after construction (the probe
-  // only fires inside RunAll, well after the slot is set).
-  platforms::FleetSimulation* fleet_ptr = nullptr;
-  std::mutex probe_mu;
-  if (probe_period > SimTime::Zero() && probe_out != nullptr) {
-    config.probe_period = probe_period;
-    config.probe = [&fleet_ptr, &probe_mu, probe_out](size_t index) {
-      auto& fleet = *fleet_ptr;
-      // Safe concurrently: SimulatorOf only reads shard-local state here.
-      SimTime now =
-          const_cast<platforms::FleetSimulation&>(fleet).SimulatorOf(index)
-              .Now();
-      MidRunCheck(fleet, index, now, probe_mu, *probe_out);
-    };
-  }
-
   platforms::FleetSimulation fleet(config);
-  fleet_ptr = &fleet;
   for (const auto& spec : scenario.specs) fleet.AddPlatform(spec);
-  if (incremental) {
+  if (mid_run != nullptr) {
     // Horizon steps are derived from the scenario seed so the pause
     // points vary across the fuzz corpus but replay identically.
     fleet.Start();
     Rng steps(scenario.seed ^ 0x1c3e6e7a1u);
     SimTime horizon = SimTime::Zero();
-    while (true) {
+    bool more = true;
+    while (more) {
       horizon +=
           SimTime::Micros(100 + static_cast<int64_t>(steps.NextBounded(20000)));
-      if (!fleet.Advance(horizon)) break;
+      more = fleet.Advance(horizon);
+      for (size_t p = 0; p < fleet.platform_count(); ++p) {
+        MidRunCheck(fleet, p, horizon, *mid_run);
+      }
     }
     fleet.Finish();
   } else {
@@ -144,10 +117,10 @@ SeedReport RunScenario(const Scenario& scenario,
   SeedReport report;
   report.scenario = scenario;
 
-  // Primary serial run, optionally probed mid-flight.
-  std::vector<Violation> probe_violations;
-  RunArtifacts primary = ExecuteOnce(scenario, /*parallelism=*/1,
-                                     options.probe_period, &probe_violations);
+  // Primary run: stepped through Start/Advance/Finish, checked mid-run.
+  std::vector<Violation> mid_run_violations;
+  RunArtifacts primary =
+      ExecuteOnce(scenario, /*parallelism=*/1, &mid_run_violations);
   if (options.corrupt) options.corrupt(primary);
   report.digest = DigestArtifacts(primary);
 
@@ -158,14 +131,14 @@ SeedReport RunScenario(const Scenario& scenario,
     registry = &default_registry;
   }
   report.violations = registry->Evaluate(primary);
-  for (auto& violation : probe_violations) {
+  for (auto& violation : mid_run_violations) {
     report.violations.push_back(std::move(violation));
   }
 
   // Determinism contract, part 1: parallel host execution is bit-identical.
   if (options.check_parallel && scenario.compare_parallel) {
-    RunArtifacts parallel = ExecuteOnce(scenario, /*parallelism=*/0,
-                                        SimTime::Zero(), nullptr);
+    RunArtifacts parallel =
+        ExecuteOnce(scenario, /*parallelism=*/0, /*mid_run=*/nullptr);
     uint64_t parallel_digest = DigestArtifacts(parallel);
     if (parallel_digest != report.digest) {
       report.violations.push_back(Violation{
@@ -177,10 +150,11 @@ SeedReport RunScenario(const Scenario& scenario,
   }
 
   // Determinism contract, part 2: replaying the seed is bit-identical.
-  // The replay is unprobed, so this also pins "stepped == unstepped".
+  // The replay runs in one shot while the primary paused at every
+  // horizon, so this also pins "paused == one-shot".
   if (options.check_replay) {
-    RunArtifacts replay = ExecuteOnce(scenario, /*parallelism=*/1,
-                                      SimTime::Zero(), nullptr);
+    RunArtifacts replay =
+        ExecuteOnce(scenario, /*parallelism=*/1, /*mid_run=*/nullptr);
     uint64_t replay_digest = DigestArtifacts(replay);
     if (replay_digest != report.digest) {
       report.violations.push_back(Violation{
@@ -188,23 +162,6 @@ SeedReport RunScenario(const Scenario& scenario,
           StrFormat("run digest %016llx != replay digest %016llx",
                     static_cast<unsigned long long>(report.digest),
                     static_cast<unsigned long long>(replay_digest))});
-    }
-  }
-
-  // Determinism contract, part 3: pausing at arbitrary virtual-time
-  // horizons via Start/Advance/Finish (the serving daemon's front-door
-  // path) is bit-identical to running the scenario in one shot.
-  if (options.check_incremental) {
-    RunArtifacts incremental = ExecuteOnce(scenario, /*parallelism=*/1,
-                                           SimTime::Zero(), nullptr,
-                                           /*incremental=*/true);
-    uint64_t incremental_digest = DigestArtifacts(incremental);
-    if (incremental_digest != report.digest) {
-      report.violations.push_back(Violation{
-          "determinism-incremental", "",
-          StrFormat("run digest %016llx != incremental digest %016llx",
-                    static_cast<unsigned long long>(report.digest),
-                    static_cast<unsigned long long>(incremental_digest))});
     }
   }
 

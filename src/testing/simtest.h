@@ -20,25 +20,12 @@ struct SimtestOptions {
    */
   bool check_parallel = true;
 
-  /** Re-run the scenario serially and require a bit-identical digest. */
+  /**
+   * Re-run the scenario serially in one shot and require a bit-identical
+   * digest. The primary pauses at every step horizon, so this also pins
+   * the Advance(until) contract: pausing anywhere must be invisible.
+   */
   bool check_replay = true;
-
-  /**
-   * Re-run the scenario through the incremental Start/Advance/Finish
-   * surface — the serving daemon's pause-and-resume path — at seed-derived
-   * random virtual-time horizons, and require a bit-identical digest.
-   * Pins the Advance(until) contract: pausing anywhere must be invisible.
-   */
-  bool check_incremental = true;
-
-  /**
-   * When nonzero, the primary run is driven in RunUntil steps of this
-   * length with a mid-run invariant probe between steps (ledger bounds,
-   * counter monotonicity). Stepping is bit-identical to an unstepped run,
-   * so the comparison runs stay unprobed — which doubles as a regression
-   * test of that very property.
-   */
-  SimTime probe_period;
 
   /**
    * Test hook: mutates the primary run's artifacts before invariant
@@ -58,10 +45,10 @@ struct SimtestOptions {
   const InvariantRegistry* registry = nullptr;
 };
 
-/** Outcome of executing one scenario (up to four fleet runs). */
+/** Outcome of executing one scenario (up to three fleet runs). */
 struct SeedReport {
   Scenario scenario;
-  uint64_t digest = 0;  // primary (serial) run digest
+  uint64_t digest = 0;  // primary (stepped serial) run digest
   std::vector<Violation> violations;
 
   bool ok() const { return violations.empty(); }
@@ -72,11 +59,12 @@ struct SeedReport {
 
 /**
  * Executes one scenario end-to-end and evaluates every invariant:
- *   1. serial run (optionally probed mid-run), registry evaluation;
- *   2. parallel run, digest equality ("determinism-serial-parallel");
- *   3. serial replay, digest equality ("determinism-replay");
- *   4. incremental Advance(until) run, digest equality
- *      ("determinism-incremental").
+ *   1. stepped primary: Start, Advance at seed-derived virtual-time
+ *      horizons with mid-run checks on every platform after each step,
+ *      Finish; then the registry evaluation;
+ *   2. parallel RunAll, digest equality ("determinism-serial-parallel");
+ *   3. serial RunAll replay, digest equality ("determinism-replay"),
+ *      which also pins paused == one-shot.
  */
 SeedReport RunScenario(const Scenario& scenario,
                        const SimtestOptions& options = {});

@@ -1,11 +1,11 @@
 // Deterministic simulation fuzzer: generates a random fleet scenario per
-// seed, runs it end-to-end (serial, parallel, replay, and incrementally
-// advanced at random virtual-time horizons), and evaluates the invariant
-// catalogue. Exit status 0 iff every seed passed.
+// seed, runs it end-to-end three times (stepped through Start/Advance/
+// Finish at random virtual-time horizons with mid-run checks, parallel
+// RunAll, serial RunAll replay), and evaluates the invariant catalogue.
+// Exit status 0 iff every seed passed.
 //
 // Usage:
-//   simtest_fuzz --seeds N --base-seed S [--shrink] [--probe-ms M]
-//                [--shards K] [--no-incremental] [--verbose]
+//   simtest_fuzz --seeds N --base-seed S [--shrink] [--shards K] [--verbose]
 //
 // --shards K overrides every scenario's shard count: the whole block runs
 // with K worker kernels per platform (K=0 forces the fused single-kernel
@@ -29,8 +29,6 @@ struct Args {
   uint64_t base_seed = 1;
   bool shrink = false;
   bool verbose = false;
-  bool incremental = true;
-  int64_t probe_ms = 0;
   int64_t shards = -1;  // -1: keep each scenario's own draw
 };
 
@@ -48,14 +46,10 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       args.seeds = std::strtoull(v, nullptr, 10);
     } else if (const char* v = needs_value("--base-seed")) {
       args.base_seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = needs_value("--probe-ms")) {
-      args.probe_ms = std::strtoll(v, nullptr, 10);
     } else if (const char* v = needs_value("--shards")) {
       args.shards = std::strtoll(v, nullptr, 10);
     } else if (std::strcmp(argv[i], "--shrink") == 0) {
       args.shrink = true;
-    } else if (std::strcmp(argv[i], "--no-incremental") == 0) {
-      args.incremental = false;
     } else if (std::strcmp(argv[i], "--verbose") == 0) {
       args.verbose = true;
     } else {
@@ -73,8 +67,7 @@ int main(int argc, char** argv) {
   if (!ParseArgs(argc, argv, args)) {
     std::fprintf(stderr,
                  "usage: simtest_fuzz [--seeds N] [--base-seed S] "
-                 "[--shrink] [--probe-ms M] [--shards K] "
-                 "[--no-incremental] [--verbose]\n");
+                 "[--shrink] [--shards K] [--verbose]\n");
     return 2;
   }
 
@@ -82,8 +75,6 @@ int main(int argc, char** argv) {
   using namespace hyperprof::testing;
 
   SimtestOptions options;
-  options.check_incremental = args.incremental;
-  if (args.probe_ms > 0) options.probe_period = SimTime::Millis(args.probe_ms);
   if (args.shards >= 0) {
     uint32_t shards = static_cast<uint32_t>(args.shards);
     options.mutate = [shards](Scenario& scenario) {
@@ -95,10 +86,9 @@ int main(int argc, char** argv) {
     };
   }
 
-  std::printf("simtest_fuzz: seeds [%llu, %llu), %s, shards=%s\n",
+  std::printf("simtest_fuzz: seeds [%llu, %llu), shards=%s\n",
               static_cast<unsigned long long>(args.base_seed),
               static_cast<unsigned long long>(args.base_seed + args.seeds),
-              args.probe_ms > 0 ? "probed" : "unprobed",
               args.shards >= 0 ? std::to_string(args.shards).c_str()
                                : "scenario");
 

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
@@ -10,50 +9,26 @@
 namespace hyperprof {
 namespace {
 
-TEST(ThreadPoolTest, SubmitRunsJobAndFutureResolves) {
-  ThreadPool pool(2);
-  std::atomic<int> value{0};
-  auto future = pool.Submit([&] { value = 42; });
-  future.get();
-  EXPECT_EQ(value, 42);
-}
-
 TEST(ThreadPoolTest, ZeroThreadRequestStillGetsOneWorker) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 1u);
-  auto future = pool.Submit([] {});
-  future.get();
+  std::atomic<int> counter{0};
+  pool.ParallelFor(3, [&](size_t) { ++counter; });
+  EXPECT_EQ(counter, 3);
 }
 
 TEST(ThreadPoolTest, ManyJobsAllComplete) {
   ThreadPool pool(4);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 200; ++i) {
-    futures.push_back(pool.Submit([&] { ++counter; }));
-  }
-  for (auto& future : futures) future.get();
+  pool.ParallelFor(200, [&](size_t) { ++counter; });
   EXPECT_EQ(counter, 200);
-}
-
-TEST(ThreadPoolTest, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto future = pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
-  // The pool survives a throwing job and keeps serving.
-  auto ok = pool.Submit([] {});
-  ok.get();
 }
 
 TEST(ThreadPoolTest, ReuseAcrossBatches) {
   ThreadPool pool(3);
   for (int batch = 0; batch < 5; ++batch) {
     std::atomic<int> counter{0};
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 30; ++i) {
-      futures.push_back(pool.Submit([&] { ++counter; }));
-    }
-    for (auto& future : futures) future.get();
+    pool.ParallelFor(30, [&](size_t) { ++counter; });
     EXPECT_EQ(counter, 30) << "batch " << batch;
   }
 }
@@ -79,17 +54,9 @@ TEST(ThreadPoolTest, ParallelForRethrowsAfterAllJobsFinish) {
                                 }),
                std::runtime_error);
   EXPECT_EQ(completed, 19);
-}
-
-TEST(ThreadPoolTest, DestructorDrainsQueuedWork) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&] { ++counter; });
-    }
-  }  // destructor must finish the queue before joining
-  EXPECT_EQ(counter, 50);
+  // The pool survives a throwing job and keeps serving.
+  pool.ParallelFor(4, [&](size_t) { ++completed; });
+  EXPECT_EQ(completed, 23);
 }
 
 TEST(ThreadPoolTest, NestedParallelForFromWorkerDoesNotDeadlock) {
@@ -99,11 +66,10 @@ TEST(ThreadPoolTest, NestedParallelForFromWorkerDoesNotDeadlock) {
   // in the queue.
   ThreadPool pool(1);
   std::atomic<int> inner{0};
-  auto outer = pool.Submit([&] {
+  pool.ParallelFor(2, [&](size_t) {
     pool.ParallelFor(8, [&](size_t) { ++inner; });
   });
-  outer.get();
-  EXPECT_EQ(inner, 8);
+  EXPECT_EQ(inner, 16);
 }
 
 TEST(ThreadPoolTest, DeeplyNestedParallelForCompletes) {
@@ -119,14 +85,19 @@ TEST(ThreadPoolTest, DeeplyNestedParallelForCompletes) {
 
 TEST(ThreadPoolTest, NestedParallelForPropagatesInnerException) {
   ThreadPool pool(1);
-  auto outer = pool.Submit([&] {
-    pool.ParallelFor(4, [&](size_t i) {
-      if (i == 2) throw std::runtime_error("inner boom");
-    });
-  });
-  EXPECT_THROW(outer.get(), std::runtime_error);
+  EXPECT_THROW(pool.ParallelFor(2,
+                                [&](size_t) {
+                                  pool.ParallelFor(4, [&](size_t i) {
+                                    if (i == 2) {
+                                      throw std::runtime_error("inner boom");
+                                    }
+                                  });
+                                }),
+               std::runtime_error);
   // The pool keeps serving afterwards.
-  pool.Submit([] {}).get();
+  std::atomic<int> counter{0};
+  pool.ParallelFor(4, [&](size_t) { ++counter; });
+  EXPECT_EQ(counter, 4);
 }
 
 TEST(ThreadPoolTest, ResolveParallelismMapsZeroToHardware) {

@@ -190,9 +190,9 @@ TEST(FleetShardingTest, IncrementalAdvanceMatchesShardedReference) {
 }
 
 TEST(FleetShardingTest, ParallelShardedMatchesSerialSharded) {
-  // Epoch jobs on the hardware-default pool, nested under the platform
-  // ParallelFor — must match both the serial 4-shard run and the 1-shard
-  // reference.
+  // Per-kernel runner threads inside each platform's job on the
+  // hardware-default pool — must match both the serial 4-shard run and
+  // the 1-shard reference.
   auto parallel = RunFleet(/*parallelism=*/0, /*seed=*/42, /*shards=*/4);
   auto serial = RunFleet(/*parallelism=*/1, /*seed=*/42, /*shards=*/4);
   ExpectBitIdentical(*serial, *parallel);
@@ -215,16 +215,17 @@ TEST(FleetShardingTest, ShardFabricConservesMessages) {
 
 TEST(FleetShardingTest, TotalsMatchLegacyAccessorsWhenFused) {
   FleetSimulation& fleet = SerialReference();
+  uint64_t events = 0;
   for (size_t p = 0; p < fleet.platform_count(); ++p) {
     PlatformTotals totals = fleet.TotalsOf(p);
     EXPECT_EQ(totals.queries_completed,
               fleet.EngineOf(p).queries_completed());
-    EXPECT_EQ(totals.events_executed,
-              fleet.SimulatorOf(p).events_executed());
+    events += totals.events_executed;
     EXPECT_EQ(totals.completed_calls, fleet.RpcOf(p).completed_calls());
     EXPECT_EQ(totals.wasted_seconds, fleet.RpcOf(p).wasted_seconds());
     EXPECT_EQ(totals.fault_decisions, fleet.FaultsOf(p).decisions());
   }
+  EXPECT_EQ(events, fleet.total_events_executed());
 }
 
 TEST(FleetShardingTest, MemoryStatsAccountSimulationState) {

@@ -13,7 +13,9 @@
 
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -559,6 +561,19 @@ TEST(ServeTest, LoadGenMultiConnectionWarmupExcludedFromStats) {
   EXPECT_GT(report.latency_p50_ms, 0.0);
 }
 
+/** Test ResponseSink: hands every response and its ticket to `fn`. */
+class FnSink : public VirtualFrontDoor::ResponseSink {
+ public:
+  explicit FnSink(std::function<void(uint64_t, const Response&)> fn)
+      : fn_(std::move(fn)) {}
+  void OnResponse(uint64_t ticket, Response& response) override {
+    fn_(ticket, response);
+  }
+
+ private:
+  std::function<void(uint64_t, const Response&)> fn_;
+};
+
 // The socketless accounting core: the same arithmetic the
 // serving-accounting invariant checks fleet-wide.
 TEST(ServeTest, FrontDoorAccountingBalances) {
@@ -571,16 +586,18 @@ TEST(ServeTest, FrontDoorAccountingBalances) {
   door.Start();
 
   uint64_t responses = 0, ok = 0, shed = 0;
+  FnSink sink([&](uint64_t, const Response& response) {
+    ++responses;
+    if (response.status == ResponseStatus::kOk) ++ok;
+    if (response.status == ResponseStatus::kShed) ++shed;
+  });
+  door.set_sink(&sink);
   constexpr uint64_t kCount = 64;
   for (uint64_t id = 0; id < kCount; ++id) {
     Request request;
     request.id = id;
     request.kind = RequestKind::kQuery;
-    door.Submit(request, [&](const Response& response) {
-      ++responses;
-      if (response.status == ResponseStatus::kOk) ++ok;
-      if (response.status == ResponseStatus::kShed) ++shed;
-    });
+    door.SubmitTicketed(request, /*ticket=*/id);
     // Alternate bursts and quiet periods so both the shed and the admit
     // paths run: pumping lets in-flight queries finish.
     if (id % 8 == 7) {
@@ -615,18 +632,21 @@ TEST(ServeTest, FrontDoorDeterministicAcrossPumpChunking) {
     door.AddPlatform(CheapSpec("b"));
     door.AddPlatform(CheapSpec("c"));
     door.Start();
-    // Keyed by request id: callback *interleaving* across platforms is a
-    // function of pump chunking (each pump advances platforms in turn),
-    // but every individual query's latency must be bit-identical.
+    // Keyed by request id (the ticket): response *interleaving* across
+    // platforms is a function of pump chunking (each pump advances
+    // platforms in turn), but every individual query's latency must be
+    // bit-identical.
     std::vector<uint64_t> latencies(32, 0);
+    FnSink sink([&latencies](uint64_t ticket, const Response& response) {
+      latencies[ticket] = response.latency_nanos;
+    });
+    door.set_sink(&sink);
     for (uint64_t id = 0; id < 32; ++id) {
       Request request;
       request.id = id;
       request.kind = RequestKind::kQuery;
       request.platform = static_cast<uint32_t>(id % 3);
-      door.Submit(request, [&latencies, id](const Response& response) {
-        latencies[id] = response.latency_nanos;
-      });
+      door.SubmitTicketed(request, /*ticket=*/id);
     }
     SimTime horizon = door.virtual_now();
     const SimTime end = horizon + SimTime::Seconds(2);

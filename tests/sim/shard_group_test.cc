@@ -108,6 +108,25 @@ void PostFatHop(Harness* h, uint32_t from, uint64_t lane, uint64_t seq,
                  });
 }
 
+/**
+ * Runs the group to quiesce: one Advance(Max) call when `step` is Max,
+ * otherwise Advance in `step` increments (pausing mid-epoch).
+ */
+void RunToQuiesce(ShardGroup& group, bool parallel, SimTime step) {
+  ShardGroup::RunOptions options;
+  options.parallel = parallel;
+  if (step == SimTime::Max()) {
+    EXPECT_FALSE(group.Advance(SimTime::Max(), options));
+    return;
+  }
+  SimTime until = SimTime::Zero();
+  while (group.Advance(until += step, options)) {
+  }
+}
+
+/** A step that never lines up with the window grid. */
+constexpr SimTime kStep = SimTime::Micros(170);
+
 /** Kicks `lanes` chains of `hops` messages each from kernel `from`. */
 void StartChains(Harness* h, uint32_t from, uint64_t lanes, uint32_t hops) {
   for (uint64_t lane = 0; lane < lanes; ++lane) {
@@ -128,10 +147,11 @@ TEST(ShardGroupTest, AllocationCounterIsLive) {
 // Two sources each post a burst to kernel 0 at the same deliver instant
 // with lanes in descending order (adversarial: the staging appends are
 // out of canonical order within each run, and the runs interleave), plus
-// a second wave one window later. Serial and parallel runs must deliver
-// in the identical canonical (deliver, lane, seq) order.
+// a second wave one window later. Serial and parallel runs, one-shot and
+// stepped, must deliver in the identical canonical (deliver, lane, seq)
+// order.
 TEST(ShardGroupTest, CanonicalDeliveryUnderAdversarialInterleavings) {
-  auto run = [](bool parallel) {
+  auto run = [](bool parallel, SimTime step) {
     Harness h(3);
     for (uint32_t src : {1u, 2u}) {
       h.kernels[src]->ScheduleFlagged(SimTime::Zero(), [&h, src] {
@@ -149,17 +169,16 @@ TEST(ShardGroupTest, CanonicalDeliveryUnderAdversarialInterleavings) {
         }
       });
     }
-    ShardGroup::RunOptions options;
-    options.parallel = parallel;
-    h.group->Run(options);
+    RunToQuiesce(*h.group, parallel, step);
     EXPECT_EQ(h.group->late_deliveries(), 0u);
     EXPECT_EQ(h.group->undelivered(), 0u);
     return h.logs[0];
   };
-  std::vector<LogEntry> serial = run(false);
-  std::vector<LogEntry> parallel = run(true);
+  std::vector<LogEntry> serial = run(false, SimTime::Max());
   ASSERT_EQ(serial.size(), 12u);
-  EXPECT_EQ(serial, parallel);
+  EXPECT_EQ(serial, run(true, SimTime::Max()));
+  EXPECT_EQ(serial, run(false, kStep));
+  EXPECT_EQ(serial, run(true, kStep));
   // Canonical order: both waves ascend by lane regardless of post order.
   for (size_t i = 0; i < 6; ++i) {
     EXPECT_EQ(serial[i].lane, i) << "wave 1 position " << i;
@@ -196,7 +215,8 @@ TEST(ShardGroupTest, CoalescedMatchesWindowByWindow) {
         return (*kernels)[k]->flagged_horizon();
       };
     }
-    uint64_t epochs = h.group->Run(options);
+    EXPECT_FALSE(h.group->Advance(SimTime::Max(), options));
+    uint64_t epochs = h.group->epochs();
     EXPECT_EQ(h.group->late_deliveries(), 0u);
     EXPECT_EQ(h.group->undelivered(), 0u);
     return std::make_tuple(h.logs[0], h.logs[1], epochs,
@@ -213,27 +233,40 @@ TEST(ShardGroupTest, CoalescedMatchesWindowByWindow) {
   ASSERT_EQ(log1_a.size(), 4u);  // ...four pongs
 }
 
-// Deep ping-pong chains leave envelopes in flight at every barrier; after
-// Run() the group must account for all of them and the kernels must be
-// fully drained, serial and parallel alike.
+// Deep ping-pong chains leave envelopes in flight at every barrier; once
+// Advance returns false the group must account for all of them and the
+// kernels must be fully drained — serial and parallel, one-shot and
+// stepped alike, with identical delivery logs and epoch counts.
 TEST(ShardGroupTest, QuiesceWithInFlightEnvelopes) {
-  for (bool parallel : {false, true}) {
-    Harness h(3);
-    StartChains(&h, 0, /*lanes=*/5, /*hops=*/15);
-    ShardGroup::RunOptions options;
-    options.parallel = parallel;
-    h.group->Run(options);
-    // 5 lanes x 16 messages (hop 0..15) each.
-    EXPECT_EQ(h.group->messages_posted(), 80u) << "parallel=" << parallel;
-    EXPECT_EQ(h.group->messages_delivered(), 80u);
-    EXPECT_EQ(h.group->undelivered(), 0u);
-    EXPECT_EQ(h.group->late_deliveries(), 0u);
-    size_t logged = 0;
-    for (const auto& log : h.logs) logged += log.size();
-    EXPECT_EQ(logged, 80u);
-    for (Simulator* kernel : h.kernels) {
-      EXPECT_EQ(kernel->pending_events(), 0u);
-      EXPECT_EQ(kernel->cancelled_events(), 0u);
+  std::vector<std::vector<LogEntry>> reference_logs;
+  uint64_t reference_epochs = 0;
+  for (SimTime step : {SimTime::Max(), kStep}) {
+    for (bool parallel : {false, true}) {
+      Harness h(3);
+      StartChains(&h, 0, /*lanes=*/5, /*hops=*/15);
+      RunToQuiesce(*h.group, parallel, step);
+      const bool stepped = step != SimTime::Max();
+      // 5 lanes x 16 messages (hop 0..15) each.
+      EXPECT_EQ(h.group->messages_posted(), 80u)
+          << "parallel=" << parallel << " stepped=" << stepped;
+      EXPECT_EQ(h.group->messages_delivered(), 80u);
+      EXPECT_EQ(h.group->undelivered(), 0u);
+      EXPECT_EQ(h.group->late_deliveries(), 0u);
+      size_t logged = 0;
+      for (const auto& log : h.logs) logged += log.size();
+      EXPECT_EQ(logged, 80u);
+      for (Simulator* kernel : h.kernels) {
+        EXPECT_EQ(kernel->pending_events(), 0u);
+        EXPECT_EQ(kernel->cancelled_events(), 0u);
+      }
+      if (reference_logs.empty()) {
+        reference_logs = h.logs;
+        reference_epochs = h.group->epochs();
+      } else {
+        EXPECT_EQ(h.logs, reference_logs)
+            << "parallel=" << parallel << " stepped=" << stepped;
+        EXPECT_EQ(h.group->epochs(), reference_epochs);
+      }
     }
   }
 }
@@ -246,7 +279,7 @@ TEST(ShardGroupTest, UndeliveredCountsBufferedEnvelopes) {
   EXPECT_EQ(h.group->messages_posted(), 1u);
   EXPECT_EQ(h.group->undelivered(), 1u);
   ShardGroup::RunOptions options;
-  h.group->Run(options);
+  h.group->Advance(SimTime::Max(), options);
   EXPECT_EQ(h.group->undelivered(), 0u);
   ASSERT_EQ(h.logs[0].size(), 1u);
 }
@@ -266,7 +299,7 @@ TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
   };
   // Warm-up: grows mailboxes, arena cells, kernel slot tables, heaps.
   workload();
-  h.group->Run(options);
+  h.group->Advance(SimTime::Max(), options);
   EXPECT_EQ(h.group->messages_delivered(), 40u);
   uint64_t warmed_allocs = h.group->exchange_allocs();
   EXPECT_GT(warmed_allocs, 0u);  // the fat payloads did hit the arena
@@ -275,7 +308,7 @@ TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
   for (auto& log : h.logs) log.clear();
   uint64_t heap_before = g_allocation_count.load(std::memory_order_relaxed);
   workload();
-  h.group->Run(options);
+  h.group->Advance(SimTime::Max(), options);
   uint64_t heap_after = g_allocation_count.load(std::memory_order_relaxed);
   EXPECT_EQ(heap_after - heap_before, 0u);
   EXPECT_EQ(h.group->exchange_allocs(), warmed_allocs);
@@ -290,10 +323,10 @@ TEST(ShardGroupTest, InlinePayloadsSkipTheArena) {
   Harness h(2);
   ShardGroup::RunOptions options;
   StartChains(&h, 0, /*lanes=*/2, /*hops=*/5);
-  h.group->Run(options);
+  h.group->Advance(SimTime::Max(), options);
   uint64_t after_first = h.group->exchange_allocs();
   StartChains(&h, 0, /*lanes=*/2, /*hops=*/5);
-  h.group->Run(options);
+  h.group->Advance(SimTime::Max(), options);
   // No arena cells and no further container growth on the second run.
   EXPECT_EQ(h.group->exchange_allocs(), after_first);
   EXPECT_EQ(h.group->messages_delivered(), 24u);

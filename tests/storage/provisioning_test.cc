@@ -1,6 +1,7 @@
 #include "storage/provisioning.h"
 
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -96,6 +97,14 @@ struct RatioCase {
   double paper_ssd_per_ram;
   double paper_hdd_per_ram;
 };
+
+// Without a printer gtest dumps the struct's raw bytes, which include the
+// load-address-dependent `platform` pointer; gtest_discover_tests puts that
+// dump into the ctest name, so every relink would rename the cases.
+void PrintTo(const RatioCase& c, std::ostream* os) {
+  *os << c.platform << " SSD:RAM " << c.paper_ssd_per_ram << " HDD:RAM "
+      << c.paper_hdd_per_ram;
+}
 
 class Table1Test : public ::testing::TestWithParam<RatioCase> {};
 
