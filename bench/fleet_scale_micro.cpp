@@ -2,12 +2,12 @@
 // compute-heavy platform swept across worker-kernel counts {1, 2, 3, 4, 8}.
 // Reports aggregate simulated events per wall-clock second, the speedup
 // over the single-kernel baseline, epoch-barrier throughput (barriers/sec
-// and ns/barrier), adaptive-epoch coalescing, exchange-path allocations,
-// and the bit-identity of the recovered results across the sweep — the
-// whole point of the epoch-barrier design is that the shard count buys
-// wall-clock without moving a single output bit. Because epoch planning
-// snaps to global next-event times, the epoch and coalescing counts are
-// themselves layout-invariant and fold into the identity check. A second
+// and ns/barrier), exchange-path allocations, and the bit-identity of the
+// recovered results across the sweep — the whole point of the
+// epoch-barrier design is that the shard count buys wall-clock without
+// moving a single output bit. Because epoch planning snaps to global
+// next-event times, the epoch count is itself layout-invariant and folds
+// into the identity check. A second
 // section scales the modeled worker fleet 30x and reports simulation-state
 // bytes per simulated worker, the capacity story toward 100k-worker runs.
 // Trajectory tracked via BENCH_fleet_scale.json.
@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_sanitizer.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "platforms/fleet.h"
@@ -40,18 +41,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
 struct SweepPoint {
   uint32_t shards = 0;
   uint64_t events = 0;
@@ -61,13 +50,12 @@ struct SweepPoint {
   bool core_limited = false;  // runner threads exceed host cores
   // Epoch-barrier fabric counters (from the fastest pass).
   uint64_t epochs = 0;
-  uint64_t coalesced_epochs = 0;
   uint64_t exchange_allocs = 0;
   uint64_t messages_posted = 0;
   double barriers_per_sec = 0;
   double ns_per_barrier = 0;
   // Result fingerprint, compared bitwise across the sweep. The epoch
-  // counts above join it: the planner is layout-invariant by design.
+  // count above joins it: the planner is layout-invariant by design.
   uint64_t queries_completed = 0;
   double overall_cpu_seconds = 0;
   double bench_total_seconds = 0;  // e2e time folded over every group
@@ -134,7 +122,6 @@ SweepPoint RunSweepPoint(uint64_t queries, uint32_t shards, int repeats,
       point.events = fleet.total_events_executed();
       platforms::ShardStats stats = fleet.ShardStatsOf(0);
       point.epochs = stats.epochs;
-      point.coalesced_epochs = stats.coalesced_epochs;
       point.exchange_allocs = stats.exchange_allocs;
       point.messages_posted = stats.messages_posted;
     }
@@ -186,8 +173,7 @@ uint64_t SteadyStateExchangeAllocs() {
                    base_seq + m, [fat] { (void)fat.pad; });
       }
     }
-    sim::ShardGroup::RunOptions options;
-    group.Advance(SimTime::Max(), options);
+    group.Advance(SimTime::Max(), /*parallel=*/false);
   };
   // Warm-up: arena cells and *both* sides of the double-buffered
   // mailboxes grow here (each run flips staging and inbox once, so the
@@ -242,12 +228,11 @@ int main(int argc, char** argv) {
                 point.queries_completed == sweep.front().queries_completed &&
                 point.overall_cpu_seconds == sweep.front().overall_cpu_seconds &&
                 point.bench_total_seconds == sweep.front().bench_total_seconds &&
-                point.epochs == sweep.front().epochs &&
-                point.coalesced_epochs == sweep.front().coalesced_epochs;
+                point.epochs == sweep.front().epochs;
   }
 
   TextTable table({"Shards", "Events", "Seconds", "Events/sec", "Speedup",
-                   "Epochs", "Coalesced", "ns/barrier", "ExchAllocs"});
+                   "Epochs", "ns/barrier", "ExchAllocs"});
   for (const SweepPoint& point : sweep) {
     table.AddRow(
         {StrFormat("%u%s", point.shards, point.core_limited ? "*" : ""),
@@ -256,8 +241,6 @@ int main(int argc, char** argv) {
          StrFormat("%.2fM", point.events_per_sec / 1e6),
          StrFormat("%.2fx", point.speedup),
          StrFormat("%llu", static_cast<unsigned long long>(point.epochs)),
-         StrFormat("%llu",
-                   static_cast<unsigned long long>(point.coalesced_epochs)),
          StrFormat("%.0f", point.ns_per_barrier),
          StrFormat("%llu",
                    static_cast<unsigned long long>(point.exchange_allocs))});
@@ -282,7 +265,7 @@ int main(int argc, char** argv) {
   // so even the shard counts that merely fit (no spare cores for speedup)
   // must hold 90% of the single-kernel baseline.
   bool guard_failed = false;
-  if (kSanitized) {
+  if (bench::kSanitized) {
     std::printf("perf guard: skipped (sanitizer build, wall-clock is not "
                 "meaningful)\n\n");
   } else if (host_cores < 2) {
@@ -350,14 +333,13 @@ int main(int argc, char** argv) {
         "    {\"shards\": %u, \"events\": %llu, "
         "\"seconds\": %.6f, \"events_per_sec\": %.0f, "
         "\"speedup_vs_1\": %.3f, \"core_limited\": %s,\n"
-        "     \"epochs\": %llu, \"coalesced_epochs\": %llu, "
+        "     \"epochs\": %llu, "
         "\"barriers_per_sec\": %.0f, \"ns_per_barrier\": %.0f, "
         "\"exchange_allocs\": %llu, \"messages_posted\": %llu}%s\n",
         point.shards, static_cast<unsigned long long>(point.events),
         point.seconds, point.events_per_sec, point.speedup,
         point.core_limited ? "true" : "false",
         static_cast<unsigned long long>(point.epochs),
-        static_cast<unsigned long long>(point.coalesced_epochs),
         point.barriers_per_sec, point.ns_per_barrier,
         static_cast<unsigned long long>(point.exchange_allocs),
         static_cast<unsigned long long>(point.messages_posted),

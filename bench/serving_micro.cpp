@@ -39,6 +39,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_sanitizer.h"
 #include "common/strings.h"
 #include "common/table.h"
 #include "serve/frame.h"
@@ -61,19 +62,6 @@ constexpr double kShedBudget = 0.05;  // "sustained" = shed rate under 5%
 // trajectory entry and the perf guard are both anchored here.
 constexpr double kBaselineQps = 7876;
 constexpr uint32_t kConnections = 4;
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer) || \
-    __has_feature(memory_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
 
 /**
  * Steady-state allocation probe: a single-threaded daemon driven by
@@ -324,7 +312,7 @@ int main(int argc, char** argv) {
   // Perf guard: only meaningful where the daemon and load generator are
   // not fighting for one core and the build is not instrumented.
   const bool guard_host =
-      !smoke && !kSanitized && std::thread::hardware_concurrency() >= 2;
+      !smoke && !bench::kSanitized && std::thread::hardware_concurrency() >= 2;
   if (guard_host) {
     const double floor = 1.5 * kBaselineQps;
     if (max_sustained < floor) {
@@ -340,7 +328,7 @@ int main(int argc, char** argv) {
     std::printf(
         "perf guard: skipped (%s)\n",
         smoke ? "smoke run"
-              : (kSanitized ? "sanitizer build" : "single-core host"));
+              : (bench::kSanitized ? "sanitizer build" : "single-core host"));
   }
   return 0;
 }

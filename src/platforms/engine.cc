@@ -122,25 +122,6 @@ PlatformEngine::PlatformEngine(EngineContext context, PlatformSpec spec,
   dfs_retry_span_id_ = names.Intern("dfs.retry");
   dfs_hedge_span_id_ = names.Intern("dfs.hedge");
   dfs_error_span_id_ = names.Intern("dfs.error");
-
-  if (sharded_) {
-    // Per-type suffix table: does any phase at or after index i issue
-    // cross-shard IO? Drives the PostHorizon() accounting.
-    io_after_.reserve(spec_.query_types.size());
-    for (const auto& type : spec_.query_types) {
-      std::vector<uint8_t> suffix(type.phases.size() + 1, 0);
-      for (size_t i = type.phases.size(); i-- > 0;) {
-        suffix[i] = suffix[i + 1] != 0 ||
-                    type.phases[i].kind == PhaseSpec::Kind::kIo;
-      }
-      io_after_.push_back(std::move(suffix));
-    }
-  }
-}
-
-SimTime PlatformEngine::PostHorizon() {
-  if (unbounded_posters_ > 0) return SimTime::Zero();
-  return context_.simulator->flagged_horizon();
 }
 
 double PlatformEngine::SampleLogNormalMean(Rng& rng, double mean,
@@ -184,17 +165,10 @@ void PlatformEngine::Run(uint64_t num_queries, double arrival_rate_qps,
     // within the kernel callback's inline buffer.
     uint32_t lane32 = static_cast<uint32_t>(i);
     uint16_t type16 = static_cast<uint16_t>(type_index);
-    auto start = [this, lane32, type16, query_rng]() mutable {
-      StartShardedQuery(lane32, type16, std::move(query_rng));
-    };
-    // Arrivals of IO-issuing types are flagged: they spawn events at
-    // times unknowable before they fire, so the arrival itself must
-    // bound the post horizon. (Flagging never changes firing order.)
-    if (io_after_[type_index][0] != 0) {
-      context_.simulator->ScheduleFlaggedAt(arrival, std::move(start));
-    } else {
-      context_.simulator->ScheduleAt(arrival, std::move(start));
-    }
+    context_.simulator->ScheduleAt(
+        arrival, [this, lane32, type16, query_rng]() mutable {
+          StartShardedQuery(lane32, type16, std::move(query_rng));
+        });
   }
 }
 
@@ -212,10 +186,6 @@ void PlatformEngine::Submit(uint64_t ticket) {
   query->ticket = ticket;
   query->has_ticket = true;
   LaunchQuery(std::move(query));
-}
-
-void PlatformEngine::SubmitBatch(const uint64_t* tickets, size_t count) {
-  for (size_t i = 0; i < count; ++i) Submit(tickets[i]);
 }
 
 std::shared_ptr<PlatformEngine::QueryState>
@@ -291,53 +261,29 @@ void PlatformEngine::RunPhaseGroup(std::shared_ptr<QueryState> query,
     ++group_end;
   }
   size_t group_size = group_end - phase_index;
-  // PostHorizon() accounting (sharded only). A group with a remote phase
-  // finishes inside an rpc-internal event whose time is unknowable here;
-  // if IO may still follow, the engine cannot bound its next post while
-  // the group is in flight, so it counts as an unbounded poster until the
-  // group barrier fires. Groups without remote phases are covered by
-  // flagged completion/delivery events instead.
-  bool unbounded = false;
-  if (sharded_ && io_after_[query->type_index][phase_index] != 0) {
-    for (size_t i = phase_index; i < group_end; ++i) {
-      unbounded = unbounded || phases[i].kind == PhaseSpec::Kind::kRemote;
-    }
-  }
-  if (unbounded) ++unbounded_posters_;
-  // Completions are flagged when the *remaining* phases include IO: the
-  // next group's posts happen no earlier than this group's completion.
-  const bool flag_completion =
-      sharded_ && io_after_[query->type_index][group_end] != 0;
   if (group_size == 1) {
     // Overwhelmingly common shape (every Spanner/BigTable phase list is
     // sequential): the continuation is the phase's `done` directly — no
     // barrier state, no shared count, and the closure fits Done inline.
-    Done done([this, query, group_end, unbounded]() {
-      if (unbounded) --unbounded_posters_;
-      RunPhaseGroup(query, group_end);
-    });
-    RunPhase(std::move(query), phase_index, std::move(done), flag_completion);
+    Done done([this, query, group_end]() { RunPhaseGroup(query, group_end); });
+    RunPhase(std::move(query), phase_index, std::move(done));
     return;
   }
-  auto barrier =
-      sim::Barrier(group_size, [this, query, group_end, unbounded]() {
-        if (unbounded) --unbounded_posters_;
-        RunPhaseGroup(query, group_end);
-      });
+  auto barrier = sim::Barrier(group_size, [this, query, group_end]() {
+    RunPhaseGroup(query, group_end);
+  });
   for (size_t i = phase_index; i < group_end; ++i) {
-    RunPhase(query, i, Done(barrier), flag_completion);
+    RunPhase(query, i, Done(barrier));
   }
 }
 
 void PlatformEngine::RunPhase(std::shared_ptr<QueryState> query,
-                              size_t phase_index, Done done,
-                              bool flag_completion) {
+                              size_t phase_index, Done done) {
   const PhaseSpec& phase =
       spec_.query_types[query->type_index].phases[phase_index];
   switch (phase.kind) {
     case PhaseSpec::Kind::kCompute:
-      RunComputePhase(query, phase.compute, std::move(done),
-                      flag_completion);
+      RunComputePhase(query, phase.compute, std::move(done));
       break;
     case PhaseSpec::Kind::kIo:
       RunIoPhase(query, phase.io, std::move(done));
@@ -351,8 +297,8 @@ void PlatformEngine::RunPhase(std::shared_ptr<QueryState> query,
 }
 
 void PlatformEngine::RunComputePhase(std::shared_ptr<QueryState> query,
-                                     const ComputePhaseSpec& phase, Done done,
-                                     bool flag_completion) {
+                                     const ComputePhaseSpec& phase,
+                                     Done done) {
   Rng& draw = DrawStream(*query);
   double total = SampleLogNormalMean(draw, phase.mean_seconds, phase.sigma);
   // Decompose the phase into categorized leaf-function activities and
@@ -398,13 +344,7 @@ void PlatformEngine::RunComputePhase(std::shared_ptr<QueryState> query,
   SimTime start = context_.simulator->Now();
   context_.tracer->AddSpan(query->trace_id, SpanKind::kCpu, compute_span_id_,
                            start, start + span_length);
-  // IO somewhere ahead: this completion event is the earliest point the
-  // query can next post, so it must bound the shard post horizon.
-  if (flag_completion) {
-    context_.simulator->ScheduleFlagged(span_length, std::move(done));
-  } else {
-    context_.simulator->Schedule(span_length, std::move(done));
-  }
+  context_.simulator->Schedule(span_length, std::move(done));
 }
 
 void PlatformEngine::RunIoPhase(std::shared_ptr<QueryState> query,

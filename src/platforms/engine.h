@@ -124,40 +124,10 @@ class PlatformEngine {
    */
   void Submit(uint64_t ticket);
 
-  /**
-   * Admits `count` queries in ticket-array order in one call — the batch
-   * hook the front door uses to admit everything decoded from one epoll
-   * wake before a single Pump. Equivalent to `count` Submit calls in
-   * order: batching is a wall-clock optimization and never changes the
-   * virtual timeline.
-   */
-  void SubmitBatch(const uint64_t* tickets, size_t count);
-
   uint64_t queries_completed() const { return completed_; }
   /** IO-phase accesses that exhausted their policy and failed. */
   uint64_t io_failures() const { return io_failures_; }
   const PlatformSpec& spec() const { return spec_; }
-
-  /**
-   * Sharded mode: a sound lower bound on the next simulated time at which
-   * this engine's kernel may post a cross-shard message (SimTime::Max()
-   * when it provably never will), for ShardGroup epoch coalescing.
-   *
-   * The bound rests on three facts. (1) Every cross-shard post happens
-   * synchronously inside an event that the engine scheduled *flagged*:
-   * arrivals of queries whose type has any IO phase, compute completions
-   * whose remaining phases include IO, and fabric deliveries (flagged by
-   * ShardGroup itself), so the kernel's flagged_horizon() bounds them.
-   * (2) A phase group containing a remote phase completes inside an
-   * rpc-internal event whose time is not known in advance; while such a
-   * group with IO still ahead of it is in flight, `unbounded_posters_` is
-   * nonzero and the horizon collapses to now (no coalescing). (3) All
-   * other events (pure compute chains past the last IO, rpc traffic with
-   * nothing after it) can never post. Derived only from the query stream
-   * and phase specs, the bound is schedule- and shard-layout-invariant,
-   * which the fuzzer's epoch-count digest fold pins.
-   */
-  SimTime PostHorizon();
 
   /** Worker-pool stats (null when contention is disabled). */
   const sim::Resource* worker_pool() const { return worker_pool_.get(); }
@@ -189,12 +159,10 @@ class PlatformEngine {
    * advanced past the arrival/type draws. */
   void StartShardedQuery(uint64_t lane, size_t type_index, Rng rng);
   void RunPhaseGroup(std::shared_ptr<QueryState> query, size_t phase_index);
-  /** `flag_completion`: completion events must bound PostHorizon(). */
   void RunPhase(std::shared_ptr<QueryState> query, size_t phase_index,
-                Done done, bool flag_completion);
+                Done done);
   void RunComputePhase(std::shared_ptr<QueryState> query,
-                       const ComputePhaseSpec& phase, Done done,
-                       bool flag_completion);
+                       const ComputePhaseSpec& phase, Done done);
   void RunIoPhase(std::shared_ptr<QueryState> query, const IoPhaseSpec& phase,
                   Done done);
   void RunRemotePhase(std::shared_ptr<QueryState> query,
@@ -231,12 +199,6 @@ class PlatformEngine {
   profiling::NameId dfs_error_span_id_ = profiling::kInvalidNameId;
   std::vector<profiling::NameId> type_name_ids_;          // [type]
   std::vector<std::vector<RemotePhaseInfo>> remote_info_;  // [type][phase]
-  // Sharded mode: io_after_[type][i] is nonzero iff any phase at index
-  // >= i issues cross-shard IO; entry [phases.size()] is always 0.
-  std::vector<std::vector<uint8_t>> io_after_;
-  // In-flight phase groups whose next post time cannot be bounded (they
-  // contain a remote phase and IO may still follow); see PostHorizon().
-  uint64_t unbounded_posters_ = 0;
   uint64_t completed_ = 0;
   uint64_t io_failures_ = 0;
   uint64_t target_ = 0;

@@ -166,24 +166,7 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
   // on which host thread runs it or what the other platforms do.
   Rng shard_rng(PlatformSeed(config_.seed, slots_.size()));
   slot->spec = spec;
-  slot->simulator = std::make_unique<sim::Simulator>();
-  slot->simulator->Reserve(4096);
-  slot->network = std::make_unique<net::NetworkModel>();
-  slot->rpc = std::make_unique<net::RpcSystem>(
-      slot->simulator.get(), slot->network.get(), shard_rng.Fork());
-  slot->dfs = std::make_unique<storage::DistributedFileSystem>(
-      slot->simulator.get(), slot->rpc.get(), config_.dfs, shard_rng.Fork());
-  // Start from the warm steady state: install the hottest blocks (block
-  // id == Zipf popularity rank) so the configured tier hit rates hold
-  // from the first query.
-  uint64_t ram_blocks = storage::MinKeysForMass(
-      slot->spec.ram_hit_target, slot->spec.block_space,
-      slot->spec.block_zipf_s);
-  uint64_t ssd_blocks = storage::MinKeysForMass(
-      slot->spec.ram_ssd_hit_target, slot->spec.block_space,
-      slot->spec.block_zipf_s);
-  slot->dfs->PrewarmZipf(ram_blocks, ssd_blocks,
-                         slot->spec.typical_block_bytes);
+  BuildStoragePlane(*slot, shard_rng);
   profiling::TracerOptions tracer_options;
   tracer_options.retention = config_.trace_retention;
   tracer_options.reservoir_capacity = config_.trace_reservoir_capacity;
@@ -210,10 +193,7 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
   // subsystem sees exactly the stream it saw before fault injection
   // existed, which is what keeps the fault-free goldens bit-identical
   // (pinned by golden_breakdown_test). Do not reorder.
-  slot->faults = std::make_unique<net::FaultModel>(shard_rng.Fork());
-  slot->faults->set_default_faults(config_.fault);
-  for (const auto& window : config_.outages) slot->faults->AddOutage(window);
-  slot->rpc->set_fault_model(slot->faults.get());
+  slot->faults = InstallFaults(*slot->rpc, shard_rng.Fork());
   slots_.push_back(std::move(slot));
 }
 
@@ -230,21 +210,7 @@ void FleetSimulation::AddShardedPlatform(PlatformSpec spec) {
   Rng shard_rng(PlatformSeed(config_.seed, slots_.size()));
   // The fused slot members double as the storage plane: `simulator` is
   // the storage kernel, and rpc/dfs run on it exactly as in fused mode.
-  slot->simulator = std::make_unique<sim::Simulator>();
-  slot->simulator->Reserve(4096);
-  slot->network = std::make_unique<net::NetworkModel>();
-  slot->rpc = std::make_unique<net::RpcSystem>(
-      slot->simulator.get(), slot->network.get(), shard_rng.Fork());
-  slot->dfs = std::make_unique<storage::DistributedFileSystem>(
-      slot->simulator.get(), slot->rpc.get(), config_.dfs, shard_rng.Fork());
-  uint64_t ram_blocks = storage::MinKeysForMass(
-      slot->spec.ram_hit_target, slot->spec.block_space,
-      slot->spec.block_zipf_s);
-  uint64_t ssd_blocks = storage::MinKeysForMass(
-      slot->spec.ram_ssd_hit_target, slot->spec.block_space,
-      slot->spec.block_zipf_s);
-  slot->dfs->PrewarmZipf(ram_blocks, ssd_blocks,
-                         slot->spec.typical_block_bytes);
+  BuildStoragePlane(*slot, shard_rng);
   Rng tracer_rng = shard_rng.Fork();
   Rng profiler_rng = shard_rng.Fork();
   Rng engine_rng = shard_rng.Fork();
@@ -277,12 +243,7 @@ void FleetSimulation::AddShardedPlatform(PlatformSpec spec) {
     PlatformSlot::WorkerShard& worker = *slot->workers[k];
     worker.rpc = std::make_unique<net::RpcSystem>(
         worker.simulator.get(), slot->network.get(), engine_rng.Fork());
-    worker.faults = std::make_unique<net::FaultModel>(engine_rng.Fork());
-    worker.faults->set_default_faults(config_.fault);
-    for (const auto& window : config_.outages) {
-      worker.faults->AddOutage(window);
-    }
-    worker.rpc->set_fault_model(worker.faults.get());
+    worker.faults = InstallFaults(*worker.rpc, engine_rng.Fork());
     worker.tracer = std::make_unique<profiling::Tracer>(
         config_.trace_sample_one_in, tracer_rng.Fork(),
         worker_tracer_options);
@@ -314,11 +275,37 @@ void FleetSimulation::AddShardedPlatform(PlatformSpec spec) {
         context, std::move(worker_spec), engine_rng.Fork());
   }
   // Storage-plane fault stream forks LAST, as in fused mode.
-  slot->faults = std::make_unique<net::FaultModel>(shard_rng.Fork());
-  slot->faults->set_default_faults(config_.fault);
-  for (const auto& window : config_.outages) slot->faults->AddOutage(window);
-  slot->rpc->set_fault_model(slot->faults.get());
+  slot->faults = InstallFaults(*slot->rpc, shard_rng.Fork());
   slots_.push_back(std::move(slot));
+}
+
+void FleetSimulation::BuildStoragePlane(PlatformSlot& slot,
+                                        Rng& shard_rng) const {
+  slot.simulator = std::make_unique<sim::Simulator>();
+  slot.simulator->Reserve(4096);
+  slot.network = std::make_unique<net::NetworkModel>();
+  slot.rpc = std::make_unique<net::RpcSystem>(
+      slot.simulator.get(), slot.network.get(), shard_rng.Fork());
+  slot.dfs = std::make_unique<storage::DistributedFileSystem>(
+      slot.simulator.get(), slot.rpc.get(), config_.dfs, shard_rng.Fork());
+  // Start from the warm steady state: install the hottest blocks (block
+  // id == Zipf popularity rank) so the configured tier hit rates hold
+  // from the first query.
+  uint64_t ram_blocks = storage::MinKeysForMass(
+      slot.spec.ram_hit_target, slot.spec.block_space, slot.spec.block_zipf_s);
+  uint64_t ssd_blocks =
+      storage::MinKeysForMass(slot.spec.ram_ssd_hit_target,
+                              slot.spec.block_space, slot.spec.block_zipf_s);
+  slot.dfs->PrewarmZipf(ram_blocks, ssd_blocks, slot.spec.typical_block_bytes);
+}
+
+std::unique_ptr<net::FaultModel> FleetSimulation::InstallFaults(
+    net::RpcSystem& rpc, Rng rng) const {
+  auto faults = std::make_unique<net::FaultModel>(std::move(rng));
+  faults->set_default_faults(config_.fault);
+  for (const auto& window : config_.outages) faults->AddOutage(window);
+  rpc.set_fault_model(faults.get());
+  return faults;
 }
 
 void FleetSimulation::AddDefaultPlatforms() {
@@ -407,26 +394,6 @@ void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
   }
 }
 
-sim::ShardGroup::RunOptions FleetSimulation::GroupOptions(
-    PlatformSlot& slot, bool parallel) const {
-  sim::ShardGroup::RunOptions options;
-  options.parallel = parallel;
-  // Post-horizon hook for epoch coalescing: workers report their
-  // engine's flagged-event bound; the storage kernel (last) posts only
-  // synchronously inside delivered events, so its own next-event time
-  // is a sound bound (Max when drained). Every caller passes the same
-  // hook, so the digested epoch counts never depend on how a run was
-  // stepped.
-  PlatformSlot* slot_ptr = &slot;
-  options.post_horizon = [slot_ptr](uint32_t kernel) -> SimTime {
-    if (kernel < slot_ptr->workers.size()) {
-      return slot_ptr->workers[kernel]->engine->PostHorizon();
-    }
-    return slot_ptr->simulator->next_event_time();
-  };
-  return options;
-}
-
 void FleetSimulation::StartSlot(PlatformSlot& slot) {
   if (config_.queries_per_platform == 0) return;  // serving: Submit-driven
   if (slot.sharded) {
@@ -448,7 +415,7 @@ void FleetSimulation::Start() {
 
 bool FleetSimulation::AdvanceSlot(PlatformSlot& slot, SimTime until) {
   if (slot.sharded) {
-    return slot.group->Advance(until, GroupOptions(slot, /*parallel=*/false));
+    return slot.group->Advance(until, /*parallel=*/false);
   }
   if (until == SimTime::Max()) {
     slot.simulator->Run();
@@ -475,7 +442,7 @@ bool FleetSimulation::Advance(SimTime until) {
 
 void FleetSimulation::FinishSlot(PlatformSlot& slot, bool parallel) {
   if (slot.sharded) {
-    slot.group->Advance(SimTime::Max(), GroupOptions(slot, parallel));
+    slot.group->Advance(SimTime::Max(), parallel);
     FinalizePlatform(slot);
   } else {
     slot.simulator->Run();
@@ -521,31 +488,20 @@ void FleetSimulation::RunAll() {
 PlatformResult FleetSimulation::Result(size_t index) const {
   assert(index < slots_.size());
   const PlatformSlot& slot = *slots_[index];
+  assert((!slot.sharded || slot.merged_tracer) &&
+         "Result() before Finish/RunAll on a sharded fleet");
+  const profiling::Tracer& tracer = TracerOf(index);
+  const profiling::CpuProfiler& profiler = ProfilerOf(index);
   PlatformResult result;
   result.name = slot.spec.name;
-  if (slot.sharded) {
-    assert(slot.merged_tracer && "Result() before RunAll on sharded fleet");
-    for (const auto& worker : slot.workers) {
-      result.queries_completed += worker->engine->queries_completed();
-    }
-    result.queries_sampled = slot.merged_tracer->queries_sampled();
-    result.e2e = slot.merged_tracer->breakdown().e2e();
-    result.cycles =
-        profiling::ComputeCycleBreakdown(*slot.merged_profiler, registry_);
-    result.microarch =
-        profiling::ComputeMicroarchReport(*slot.merged_profiler, registry_);
-    return result;
-  }
-  result.queries_completed = slot.engine->queries_completed();
-  result.queries_sampled = slot.tracer->queries_sampled();
+  result.queries_completed = TotalsOf(index).queries_completed;
+  result.queries_sampled = tracer.queries_sampled();
   // The streaming accumulator folded every finished trace at FinishQuery
   // with the same operation order as the batch path, so this is
   // bit-identical to re-attributing the retained traces — and O(1).
-  result.e2e = slot.tracer->breakdown().e2e();
-  result.cycles =
-      profiling::ComputeCycleBreakdown(*slot.profiler, registry_);
-  result.microarch =
-      profiling::ComputeMicroarchReport(*slot.profiler, registry_);
+  result.e2e = tracer.breakdown().e2e();
+  result.cycles = profiling::ComputeCycleBreakdown(profiler, registry_);
+  result.microarch = profiling::ComputeMicroarchReport(profiler, registry_);
   return result;
 }
 
@@ -681,7 +637,6 @@ ShardStats FleetSimulation::ShardStatsOf(size_t index) const {
   stats.messages_delivered = slot.group->messages_delivered();
   stats.undelivered = slot.group->undelivered();
   stats.epochs = slot.group->epochs();
-  stats.coalesced_epochs = slot.group->coalesced_epochs();
   stats.exchange_allocs = slot.group->exchange_allocs();
   stats.late_deliveries = slot.group->late_deliveries();
   return stats;

@@ -149,14 +149,14 @@ struct ShardStats {
   uint64_t messages_delivered = 0;
   uint64_t undelivered = 0;  // must be zero after Finish/RunAll
   uint64_t epochs = 0;
-  // Barriers skipped by adaptive epoch coalescing (schedule- and
-  // layout-invariant; folded into the simtest digest alongside epochs).
+  // Always 0: no epoch spans more than one window. Kept because existing
+  // readers (the perfbench harness) still report it.
   uint64_t coalesced_epochs = 0;
   // Exchange-path heap allocations (mailbox/arena growth); zero at a
   // warmed-up steady state. Layout-dependent — reporting only.
   uint64_t exchange_allocs = 0;
-  // Envelopes that arrived in a kernel's past; nonzero means an unsound
-  // post-horizon bound (checked by the shard-exchange invariant).
+  // Envelopes that arrived in a kernel's past; nonzero means a Post broke
+  // its one-window lookahead (checked by the shard-exchange invariant).
   uint64_t late_deliveries = 0;
 };
 
@@ -347,6 +347,17 @@ class FleetSimulation {
   /** Builds a sharded slot (workers + storage kernel + fabric). */
   void AddShardedPlatform(PlatformSpec spec);
 
+  /**
+   * Builds `slot`'s storage plane — kernel, network, RPC, and a
+   * Zipf-prewarmed DFS — forking rpc then dfs from `shard_rng`. Both
+   * platform modes call it first, so the plane draws the same streams.
+   */
+  void BuildStoragePlane(PlatformSlot& slot, Rng& shard_rng) const;
+
+  /** Installs a fault model on `rpc` with the configured faults/outages. */
+  std::unique_ptr<net::FaultModel> InstallFaults(net::RpcSystem& rpc,
+                                                 Rng rng) const;
+
   /** Post-run merge of a sharded platform's tracers and profilers. */
   void FinalizePlatform(PlatformSlot& slot);
 
@@ -362,10 +373,6 @@ class FleetSimulation {
    * it has no effect on fused platforms and never on results.
    */
   void FinishSlot(PlatformSlot& slot, bool parallel);
-
-  /** The ShardGroup options of a sharded slot (epoch coalescing on). */
-  sim::ShardGroup::RunOptions GroupOptions(PlatformSlot& slot,
-                                           bool parallel) const;
 
   FleetConfig config_;
   profiling::FunctionRegistry registry_;

@@ -90,32 +90,7 @@ void VirtualFrontDoor::SubmitTicketed(const Request& request,
 void VirtualFrontDoor::SubmitTicketedBatch(const Request* requests,
                                            const uint64_t* tickets,
                                            size_t count) {
-  size_t i = 0;
-  while (i < count) {
-    const Request& request = requests[i];
-    if (request.kind == RequestKind::kQuery &&
-        request.platform < fleet_->platform_count() &&
-        counters_.in_flight() < options_.max_in_flight) {
-      // Maximal run of admissible same-platform queries: count them into
-      // the front-door ledger first (so the in-flight bound holds within
-      // the run), then hand the whole run to the engine in one call.
-      const uint32_t platform = request.platform;
-      batch_tickets_.clear();
-      while (i < count && requests[i].kind == RequestKind::kQuery &&
-             requests[i].platform == platform &&
-             counters_.in_flight() < options_.max_in_flight) {
-        ++counters_.offered;
-        ++counters_.admitted;
-        batch_tickets_.push_back(tickets[i]);
-        ++i;
-      }
-      fleet_->MutableEngineOf(platform).SubmitBatch(batch_tickets_.data(),
-                                                    batch_tickets_.size());
-      continue;
-    }
-    SubmitTicketed(request, tickets[i]);
-    ++i;
-  }
+  for (size_t i = 0; i < count; ++i) SubmitTicketed(requests[i], tickets[i]);
 }
 
 bool VirtualFrontDoor::Pump(SimTime until) {

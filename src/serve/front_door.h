@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "platforms/fleet.h"
 #include "serve/protocol.h"
@@ -107,12 +106,9 @@ class VirtualFrontDoor {
   void SubmitTicketed(const Request& request, uint64_t ticket);
 
   /**
-   * Admits a batch of decoded requests in arrival order — the daemon
-   * calls this once per epoll wake, then pumps once. Runs of admissible
-   * same-platform queries ride one engine SubmitBatch; interleaved
-   * synchronous kinds (and shed responses) are answered at their exact
-   * position in the batch, so the observable outcome is identical to
-   * `count` SubmitTicketed calls in order.
+   * Handles a batch of decoded requests in arrival order, exactly as
+   * `count` SubmitTicketed calls — the daemon calls this once per epoll
+   * wake, then pumps once.
    */
   void SubmitTicketedBatch(const Request* requests, const uint64_t* tickets,
                            size_t count);
@@ -145,9 +141,6 @@ class VirtualFrontDoor {
   ServingCounters counters_;
   ResponseSink* sink_ = nullptr;
   const uint64_t* serve_allocs_counter_ = nullptr;
-  // Scratch for SubmitTicketedBatch's per-platform runs; capacity is
-  // retained so steady-state batches never allocate.
-  std::vector<uint64_t> batch_tickets_;
   bool started_ = false;
   bool finished_ = false;
 };

@@ -83,40 +83,17 @@ void ShardGroup::SweepArenas() {
   }
 }
 
-bool ShardGroup::PlanEpoch(const RunOptions& options, SimTime& deadline) {
+bool ShardGroup::PlanEpoch(SimTime& deadline) {
   SimTime start = SimTime::Max();
   for (Simulator* kernel : kernels_) {
     start = std::min(start, kernel->next_event_time());
   }
-  bool have_messages = false;
   for (const std::vector<ShardEnvelope>& box : staging_) {
-    if (box.empty()) continue;
-    have_messages = true;
     // The head is the box's minimum: appends are deliver-monotone.
-    start = std::min(start, box.front().deliver);
+    if (!box.empty()) start = std::min(start, box.front().deliver);
   }
   if (start == SimTime::Max()) return false;  // global quiesce
   deadline = start + window_;
-  if (!have_messages && options.post_horizon) {
-    SimTime horizon = SimTime::Max();
-    for (uint32_t k = 0; k < kernels_.size(); ++k) {
-      horizon = std::min(horizon, options.post_horizon(k));
-    }
-    if (horizon == SimTime::Max()) {
-      // No kernel can ever post again: drain everything in one epoch.
-      // Counted once, so the total stays schedule-invariant.
-      deadline = SimTime::Max();
-      ++coalesced_epochs_;
-    } else if (horizon >= deadline) {
-      // A post at time X is legal for deadline D iff X >= D - window
-      // (its delivery X + window must not precede D). Posts before
-      // `horizon` are impossible, so the largest sound D on the window
-      // grid is start + (1 + floor((horizon - start) / window)) * window.
-      int64_t extra = (horizon - start).nanos() / window_.nanos();
-      deadline = start + SimTime::Nanos(window_.nanos() * (extra + 1));
-      coalesced_epochs_ += static_cast<uint64_t>(extra);
-    }
-  }
   return true;
 }
 
@@ -151,10 +128,7 @@ void ShardGroup::DeliverInbox(uint32_t to) {
   Dest& dest = dests_[to];
   auto deliver = [&](ShardEnvelope& env) {
     if (env.deliver < kernel->Now()) ++dest.late;
-    // Flagged: a delivered payload may itself post (serve a request,
-    // resume a reply continuation), so its firing time must bound the
-    // destination's post horizon.
-    kernel->ScheduleFlaggedAt(env.deliver, std::move(env.payload));
+    kernel->ScheduleAt(env.deliver, std::move(env.payload));
     ++dest.delivered;
   };
   if (runs == 1) {
@@ -184,11 +158,7 @@ void ShardGroup::DeliverInbox(uint32_t to) {
 
 void ShardGroup::RunKernel(uint32_t k, SimTime deadline) {
   DeliverInbox(k);
-  if (deadline == SimTime::Max()) {
-    kernels_[k]->Run();  // drain epoch: run to quiesce, clock stays put
-  } else {
-    kernels_[k]->RunUntil(deadline);
-  }
+  kernels_[k]->RunUntil(deadline);
 }
 
 /**
@@ -314,9 +284,9 @@ class ShardGroup::Runners {
   std::vector<std::thread> threads_;
 };
 
-bool ShardGroup::Advance(SimTime until, const RunOptions& options) {
+bool ShardGroup::Advance(SimTime until, bool parallel) {
   std::optional<Runners> runners;
-  if (options.parallel && kernels_.size() > 1) runners.emplace(*this);
+  if (parallel && kernels_.size() > 1) runners.emplace(*this);
   auto run_kernels = [&](SimTime deadline) {
     if (runners) {
       runners->Step(deadline);
@@ -328,7 +298,7 @@ bool ShardGroup::Advance(SimTime until, const RunOptions& options) {
     if (!epoch_open_) {
       SweepArenas();
       SimTime deadline;
-      if (!PlanEpoch(options, deadline)) {
+      if (!PlanEpoch(deadline)) {
         // Global quiesce: a final drain pops stale cancelled heap entries
         // (RunUntil stops scanning at its deadline), so kernels report a
         // clean quiesce.
@@ -347,21 +317,6 @@ bool ShardGroup::Advance(SimTime until, const RunOptions& options) {
       // (the first partial run cleared the inboxes), so the merged
       // delivery order is exactly the one-shot order.
       run_kernels(until);
-      // A drain epoch (deadline = Max, planned only when no kernel can
-      // ever post again) completes as soon as every kernel is out of
-      // events, even at a finite horizon — an unpaused step runs it with
-      // Simulator::Run(), which stops at the same point.
-      if (epoch_deadline_ == SimTime::Max()) {
-        bool quiesced = true;
-        for (Simulator* kernel : kernels_) {
-          if (kernel->next_event_time() != SimTime::Max()) quiesced = false;
-        }
-        if (quiesced) {
-          ++epochs_;
-          epoch_open_ = false;
-          continue;
-        }
-      }
       return true;
     }
     run_kernels(epoch_deadline_);

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -44,50 +43,29 @@ struct ShardEnvelope {
  * the next epoch — while the other destinations merge their own traffic in
  * parallel.
  *
- * Correctness of the conservative window: an envelope posted at local
- * time t carries deliver = t + window. With epochs [s, s+window] and an
- * inclusive RunUntil, t <= s+window implies deliver >= s+window, which is
+ * The epoch rule: each epoch starts at s, the earliest pending kernel
+ * event or buffered envelope, and runs every kernel to s + window
+ * (RunUntil is deadline-inclusive). An envelope posted at local time
+ * t <= s + window carries deliver = t + window >= s + window, which is
  * exactly where every kernel's clock sits at the barrier — so insertion
  * never clamps and no message arrives in a kernel's past.
  *
- * Determinism: epoch boundaries snap to the global minimum next-event
- * time (kernel events and staged deliveries alike), and same-instant
- * deliveries are tie-broken by the kernel's insertion order, which the
- * canonical merge makes independent of shard count and thread schedule.
- * Any shard count — including one — produces bit-identical simulations,
- * with or without runner threads.
+ * Determinism: epoch boundaries snap to that global minimum, and
+ * same-instant deliveries are tie-broken by the kernel's insertion
+ * order, which the canonical merge makes independent of shard count and
+ * thread schedule. Any shard count — including one — produces
+ * bit-identical simulations and epoch counts, with or without runner
+ * threads.
  *
  * Hot-path design (DESIGN.md §14): a parallel Advance gives each kernel
  * a persistent runner parked on an atomic epoch-ticket barrier (one
- * barrier per epoch, not per-epoch thread-pool enqueues); envelopes carry
- * 48-byte-SBO InlineFunction payloads with oversized captures placed in
- * per-source recycled arenas, so steady-state cross-shard traffic
- * performs zero heap allocations; and when a barrier finds every mailbox
- * empty, the post-horizon hook lets the group coalesce provably
- * message-free windows into one long epoch.
+ * barrier per epoch, not per-epoch thread-pool enqueues), and envelopes
+ * carry 48-byte-SBO InlineFunction payloads with oversized captures
+ * placed in per-source recycled arenas, so steady-state cross-shard
+ * traffic performs zero heap allocations.
  */
 class ShardGroup {
  public:
-  struct RunOptions {
-    /**
-     * Spawn one persistent runner thread per kernel beyond the caller's
-     * (which runs the last kernel) for the duration of the Advance call;
-     * false runs every kernel on the calling thread. Either way the
-     * results are bit-identical.
-     */
-    bool parallel = false;
-    /**
-     * Sound per-kernel lower bound on the next simulated time at which
-     * that kernel may call Post (SimTime::Max() when it provably never
-     * will again). Called only at barriers, with every runner parked.
-     * The bound must be schedule- and layout-invariant, or digests will
-     * diverge. When set, a barrier that finds every mailbox empty extends
-     * the epoch over every whole window that provably contains no
-     * cross-shard post (epoch coalescing); null disables coalescing.
-     */
-    std::function<SimTime(uint32_t kernel)> post_horizon;
-  };
-
   /**
    * The group borrows the kernels (callers keep ownership; they must
    * outlive the group). `window` must be positive.
@@ -149,9 +127,9 @@ class ShardGroup {
    *
    * Pausing is invisible: an advance-in-K-steps run executes the exact
    * same events in the exact same order as one Advance(Max) call, flips
-   * mailboxes at the exact same barriers, and ends with identical
-   * epoch/coalescing counts (pinned by the simtest fuzz digest's
-   * "determinism-replay" comparison of a stepped and a one-shot run).
+   * mailboxes at the exact same barriers, and ends with an identical
+   * epoch count (pinned by the simtest fuzz digest's "determinism-replay"
+   * comparison of a stepped and a one-shot run).
    * The key is that a pause never becomes a barrier: when `until` falls
    * inside a planned epoch, the group runs each kernel to `until` and
    * keeps the epoch *open* — mailboxes are not flipped and the epoch plan
@@ -159,21 +137,17 @@ class ShardGroup {
    * closes it at its original deadline. Epoch plans therefore see exactly
    * the kernel states a one-shot run would see.
    *
-   * With `options.parallel` and more than one kernel, runner threads
-   * execute each "run every kernel to T" step; they start inside this
-   * call and are joined before it returns or rethrows a kernel's
-   * exception.
+   * With `parallel` and more than one kernel, one persistent runner
+   * thread per kernel beyond the caller's (which runs the last kernel)
+   * executes each "run every kernel to T" step; the runners start inside
+   * this call and are joined before it returns or rethrows a kernel's
+   * exception. Either way the results are bit-identical.
    */
-  bool Advance(SimTime until, const RunOptions& options);
+  bool Advance(SimTime until, bool parallel);
 
   SimTime window() const { return window_; }
+  /** Epochs completed. Schedule- and layout-invariant (see the class doc). */
   uint64_t epochs() const { return epochs_; }
-  /**
-   * Extra windows folded into coalesced epochs (the barriers that were
-   * provably unnecessary and skipped). A drain-to-quiesce epoch counts
-   * once. Schedule- and layout-invariant, so digests may fold it in.
-   */
-  uint64_t coalesced_epochs() const { return coalesced_epochs_; }
   uint64_t messages_posted() const;
   uint64_t messages_delivered() const;
   /**
@@ -190,9 +164,10 @@ class ShardGroup {
    */
   uint64_t exchange_allocs() const;
   /**
-   * Envelopes that arrived with deliver < the destination clock (then
-   * clamped by ScheduleAt). Always zero unless a post_horizon hook lied;
-   * checked by the shard-exchange invariant as a coalescing tripwire.
+   * Envelopes that arrived with deliver < the destination clock (each is
+   * still scheduled, clamped to the destination's Now()). Always zero
+   * while every Post keeps its contract of delivering at least one window
+   * ahead; the shard-exchange invariant checks it.
    */
   uint64_t late_deliveries() const;
 
@@ -226,10 +201,10 @@ class ShardGroup {
   void SweepArenas();
   /**
    * Computes the next epoch deadline from kernel next-event times and
-   * staged run heads (applying coalescing when eligible). Returns false
-   * on global quiesce. Coordinator only, runners parked.
+   * staged run heads. Returns false on global quiesce. Coordinator only,
+   * runners parked.
    */
-  bool PlanEpoch(const RunOptions& options, SimTime& deadline);
+  bool PlanEpoch(SimTime& deadline);
   /** Flips non-empty staged mailboxes to inboxes. Runners parked. */
   void SwapMailboxes();
   /**
@@ -238,7 +213,7 @@ class ShardGroup {
    * runner at the start of each epoch.
    */
   void DeliverInbox(uint32_t to);
-  /** Delivers, then advances kernel `k` to `deadline` (Max = drain). */
+  /** Delivers, then advances kernel `k` to `deadline`. */
   void RunKernel(uint32_t k, SimTime deadline);
   /** Runner threads of one parallel Advance call (shard_group.cc). */
   class Runners;
@@ -257,7 +232,6 @@ class ShardGroup {
   std::vector<Dest> dests_;
   std::vector<std::vector<size_t>> merge_scratch_;  // per-dest run cursors
   uint64_t epochs_ = 0;
-  uint64_t coalesced_epochs_ = 0;
   // Pause state: the in-progress epoch's planned deadline. An open epoch
   // has had its mailboxes flipped and (possibly partially) run; it
   // completes — and only then is a new epoch planned — once Advance is

@@ -21,19 +21,6 @@ EventId Simulator::Schedule(SimTime delay, Callback fn) {
 }
 
 EventId Simulator::ScheduleAt(SimTime when, Callback fn) {
-  return ScheduleAtImpl(when, std::move(fn), /*flagged=*/false);
-}
-
-EventId Simulator::ScheduleFlagged(SimTime delay, Callback fn) {
-  if (delay < SimTime::Zero()) delay = SimTime::Zero();
-  return ScheduleAtImpl(now_ + delay, std::move(fn), /*flagged=*/true);
-}
-
-EventId Simulator::ScheduleFlaggedAt(SimTime when, Callback fn) {
-  return ScheduleAtImpl(when, std::move(fn), /*flagged=*/true);
-}
-
-EventId Simulator::ScheduleAtImpl(SimTime when, Callback fn, bool flagged) {
   if (when < now_) when = now_;
   uint32_t slot;
   if (!free_slots_.empty()) {
@@ -45,27 +32,8 @@ EventId Simulator::ScheduleAtImpl(SimTime when, Callback fn, bool flagged) {
   }
   Slot& cell = slots_[slot];
   cell.fn = std::move(fn);
-  cell.flagged = flagged;
-  HeapEntry entry{when, next_order_++, slot, cell.gen};
-  heap_.push_back(entry);
+  heap_.push_back(HeapEntry{when, next_order_++, slot, cell.gen});
   std::push_heap(heap_.begin(), heap_.end(), After{});
-  if (flagged) {
-    ++flagged_live_;
-    // Fired/cancelled entries linger (only tops prune lazily); compact in
-    // place once they dominate, so repeated runs reuse the same storage.
-    if (flagged_heap_.size() >= 16 &&
-        flagged_heap_.size() >= 2 * flagged_live_) {
-      flagged_heap_.erase(
-          std::remove_if(flagged_heap_.begin(), flagged_heap_.end(),
-                         [this](const HeapEntry& e) {
-                           return slots_[e.slot].gen != e.gen;
-                         }),
-          flagged_heap_.end());
-      std::make_heap(flagged_heap_.begin(), flagged_heap_.end(), After{});
-    }
-    flagged_heap_.push_back(entry);
-    std::push_heap(flagged_heap_.begin(), flagged_heap_.end(), After{});
-  }
   ++live_events_;
   return EventId{EncodeId(slot, cell.gen)};
 }
@@ -79,10 +47,6 @@ bool Simulator::Cancel(EventId id) {
   if (cell.gen != gen) return false;  // already fired, cancelled, or reused
   cell.fn = Callback();               // release the payload immediately
   ++cell.gen;                         // stale-out the heap entry
-  if (cell.flagged) {
-    cell.flagged = false;
-    --flagged_live_;
-  }
   free_slots_.push_back(slot);
   --live_events_;
   ++stale_in_heap_;
@@ -101,10 +65,6 @@ void Simulator::Fire(const HeapEntry& entry) {
   now_ = entry.when;
   Callback fn = std::move(cell.fn);
   ++cell.gen;
-  if (cell.flagged) {
-    cell.flagged = false;
-    --flagged_live_;
-  }
   // Recycle the slot before running: a callback that reschedules (the
   // common timer/arrival pattern) lands back in the still-warm cell.
   free_slots_.push_back(entry.slot);
@@ -154,19 +114,8 @@ SimTime Simulator::next_event_time() {
   return SimTime::Max();
 }
 
-SimTime Simulator::flagged_horizon() {
-  while (!flagged_heap_.empty()) {
-    const HeapEntry& top = flagged_heap_.front();
-    if (slots_[top.slot].gen == top.gen) return top.when;
-    std::pop_heap(flagged_heap_.begin(), flagged_heap_.end(), After{});
-    flagged_heap_.pop_back();
-  }
-  return SimTime::Max();
-}
-
 size_t Simulator::memory_bytes() const {
   return heap_.capacity() * sizeof(HeapEntry) +
-         flagged_heap_.capacity() * sizeof(HeapEntry) +
          slots_.capacity() * sizeof(Slot) +
          free_slots_.capacity() * sizeof(uint32_t);
 }

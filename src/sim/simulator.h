@@ -54,17 +54,6 @@ class Simulator {
   EventId ScheduleAt(SimTime when, Callback fn);
 
   /**
-   * Like Schedule/ScheduleAt, but additionally tracks the event for
-   * flagged_horizon(). Flagged events fire in exactly the same global
-   * (time, insertion) order as unflagged ones — the flag is pure
-   * bookkeeping and never perturbs results. Callers flag the events that
-   * can lead to externally visible side effects (cross-shard posts), so
-   * the epoch scheduler can prove quiet stretches ahead of time.
-   */
-  EventId ScheduleFlagged(SimTime delay, Callback fn);
-  EventId ScheduleFlaggedAt(SimTime when, Callback fn);
-
-  /**
    * Cancels a pending event; returns true if it had not yet fired. O(1):
    * the callback is destroyed immediately and the slot's generation bumps,
    * leaving a stale heap entry that pop skips by generation mismatch.
@@ -93,15 +82,6 @@ class Simulator {
    * the answer is exact. Used by the epoch scheduler to skip idle windows.
    */
   SimTime next_event_time();
-
-  /**
-   * Timestamp of the earliest live *flagged* event, or SimTime::Max() when
-   * none is pending. Same lazy pruning as next_event_time(). This is a
-   * sound lower bound on the next flagged firing, which callers combine
-   * with their own accounting into a cross-shard post horizon
-   * (ShardGroup::RunOptions::post_horizon).
-   */
-  SimTime flagged_horizon();
 
   /**
    * Bytes of kernel bookkeeping currently reserved (heap, slot table, free
@@ -137,10 +117,7 @@ class Simulator {
   struct Slot {
     Callback fn;
     uint32_t gen = 0;
-    bool flagged = false;  // current occupant is tracked in flagged_heap_
   };
-
-  EventId ScheduleAtImpl(SimTime when, Callback fn, bool flagged);
 
   /** Pops the heap top and returns it. */
   HeapEntry PopTop();
@@ -153,13 +130,6 @@ class Simulator {
   size_t live_events_ = 0;
   size_t stale_in_heap_ = 0;
   std::vector<HeapEntry> heap_;
-  // Secondary min-heap over the flagged subset, pruned lazily by generation
-  // mismatch exactly like heap_. Entries are copies; the slot table stays
-  // the single owner of callbacks. Stale entries are compacted in place
-  // once they outnumber live ones, so the heap's footprint tracks the
-  // number of *pending* flagged events, not the total ever scheduled.
-  std::vector<HeapEntry> flagged_heap_;
-  size_t flagged_live_ = 0;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
 };

@@ -461,14 +461,13 @@ void CheckShardExchange(const RunArtifacts& run, Out& out) {
     if (p.shard_late_deliveries != 0) {
       Report(out, "shard-exchange", p.name,
              StrFormat("%llu envelopes delivered behind the destination "
-                       "clock (unsound post-horizon coalescing)",
+                       "clock (a post broke its one-window lookahead)",
                        static_cast<unsigned long long>(
                            p.shard_late_deliveries)));
     }
     if (p.shard_count == 0) {
       if (p.shard_messages_posted != 0 || p.shard_messages_delivered != 0 ||
-          p.shard_undelivered != 0 || p.shard_epochs != 0 ||
-          p.shard_coalesced_epochs != 0) {
+          p.shard_undelivered != 0 || p.shard_epochs != 0) {
         Report(out, "shard-exchange", p.name,
                "fused platform reports shard fabric activity");
       }
@@ -705,7 +704,6 @@ RunArtifacts CollectArtifacts(const platforms::FleetSimulation& fleet) {
     p.shard_messages_delivered = shards.messages_delivered;
     p.shard_undelivered = shards.undelivered;
     p.shard_epochs = shards.epochs;
-    p.shard_coalesced_epochs = shards.coalesced_epochs;
     p.shard_late_deliveries = shards.late_deliveries;
 
     run.platforms.push_back(std::move(p));
@@ -769,15 +767,15 @@ uint64_t DigestArtifacts(const RunArtifacts& run) {
     fnv.U64(p.injected_slowdowns);
     fnv.U64(p.outage_hits);
     // Shard-layout-invariant fabric traffic and epoch schedule: barriers
-    // snap to global next-event times and coalescing to the global post
-    // horizon, so these match across thread schedules AND shard layouts.
-    // Folding them pins both the determinism contract and the soundness
-    // of the adaptive-epoch planner. shard_count itself stays out (pure
-    // execution layout).
+    // snap to global next-event times, so these match across thread
+    // schedules AND shard layouts. shard_count itself stays out (pure
+    // execution layout). The constant 0 fills the slot of the retired
+    // coalesced-epoch count, so fused digests stay comparable with
+    // earlier builds.
     fnv.U64(p.shard_messages_posted);
     fnv.U64(p.shard_messages_delivered);
     fnv.U64(p.shard_epochs);
-    fnv.U64(p.shard_coalesced_epochs);
+    fnv.U64(0);
     // Continuous-profiling windows: integer totals and sketch-derived
     // percentiles are shard-layout-invariant by construction (int64/uint64
     // accumulation; DESIGN.md §15), so they belong in the digest alongside

@@ -77,18 +77,16 @@ struct PlatformArtifacts {
 
   // Shard fabric (all zero for fused platforms). Digests fold the message
   // counts — shard-layout-invariant, two per cross-kernel IO — and the
-  // epoch counts: barriers snap to global next-event times and coalescing
-  // to the global post horizon, so any sharded layout of the same scenario
-  // executes the identical epoch sequence. Only shard_count (pure
-  // execution layout) and the tripwire stay out.
+  // epoch count: barriers snap to global next-event times, so any sharded
+  // layout of the same scenario executes the identical epoch sequence.
+  // Only shard_count (pure execution layout) and the tripwire stay out.
   uint32_t shard_count = 0;
   uint64_t shard_messages_posted = 0;
   uint64_t shard_messages_delivered = 0;
   uint64_t shard_undelivered = 0;
   uint64_t shard_epochs = 0;
-  uint64_t shard_coalesced_epochs = 0;
   // Envelopes delivered behind the destination clock — nonzero means a
-  // post-horizon hook was unsound and the conservative window broke.
+  // post delivered less than one window ahead of its source's clock.
   uint64_t shard_late_deliveries = 0;
 
   // Continuous profiling (DESIGN.md §15). For sharded platforms this is

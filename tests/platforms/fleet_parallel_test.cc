@@ -5,15 +5,31 @@
 // alone (see DESIGN.md).
 
 #include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
 #include "platforms/fleet.h"
+#include "platforms/platforms.h"
 #include "profiling/categories.h"
 
 namespace hyperprof::platforms {
 namespace {
+
+/**
+ * The three paper platforms behind a small block space. Construction
+ * memory is dominated by the Zipf-prewarmed caches, which scale with
+ * block_space; a paper-scale fleet holds ~1.3 GB, too much to keep
+ * several alive under ThreadSanitizer. Every fleet in this file uses
+ * these specs, so each comparison stays within one model.
+ */
+void AddSmallPlatforms(FleetSimulation& fleet) {
+  for (PlatformSpec spec : {SpannerSpec(), BigTableSpec(), BigQuerySpec()}) {
+    spec.block_space = 1 << 14;
+    fleet.AddPlatform(std::move(spec));
+  }
+}
 
 std::unique_ptr<FleetSimulation> RunFleet(uint32_t parallelism,
                                           uint64_t seed = 42,
@@ -27,7 +43,7 @@ std::unique_ptr<FleetSimulation> RunFleet(uint32_t parallelism,
   config.parallelism = parallelism;
   config.shards_per_platform = shards;
   auto fleet = std::make_unique<FleetSimulation>(config);
-  fleet->AddDefaultPlatforms();
+  AddSmallPlatforms(*fleet);
   fleet->RunAll();
   return fleet;
 }
@@ -46,7 +62,7 @@ std::unique_ptr<FleetSimulation> RunFleetIncremental(uint64_t step_seed,
   config.parallelism = 1;
   config.shards_per_platform = shards;
   auto fleet = std::make_unique<FleetSimulation>(config);
-  fleet->AddDefaultPlatforms();
+  AddSmallPlatforms(*fleet);
   fleet->Start();
   Rng rng(step_seed);
   SimTime horizon = SimTime::Zero();

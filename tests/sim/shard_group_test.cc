@@ -1,6 +1,6 @@
-// ShardGroup unit suite: canonical delivery order, epoch coalescing,
-// quiesce with in-flight envelopes, and the zero-steady-state-allocation
-// guarantee of the exchange path.
+// ShardGroup unit suite: canonical delivery order, quiesce with in-flight
+// envelopes, the late-delivery tripwire, and the zero-steady-state-
+// allocation guarantee of the exchange path.
 //
 // This binary replaces the global allocator with a counting shim (the
 // tracer_memory_test pattern); it must stay its own test executable so
@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -113,14 +112,12 @@ void PostFatHop(Harness* h, uint32_t from, uint64_t lane, uint64_t seq,
  * otherwise Advance in `step` increments (pausing mid-epoch).
  */
 void RunToQuiesce(ShardGroup& group, bool parallel, SimTime step) {
-  ShardGroup::RunOptions options;
-  options.parallel = parallel;
   if (step == SimTime::Max()) {
-    EXPECT_FALSE(group.Advance(SimTime::Max(), options));
+    EXPECT_FALSE(group.Advance(SimTime::Max(), parallel));
     return;
   }
   SimTime until = SimTime::Zero();
-  while (group.Advance(until += step, options)) {
+  while (group.Advance(until += step, parallel)) {
   }
 }
 
@@ -130,7 +127,7 @@ constexpr SimTime kStep = SimTime::Micros(170);
 /** Kicks `lanes` chains of `hops` messages each from kernel `from`. */
 void StartChains(Harness* h, uint32_t from, uint64_t lanes, uint32_t hops) {
   for (uint64_t lane = 0; lane < lanes; ++lane) {
-    h->kernels[from]->ScheduleFlagged(
+    h->kernels[from]->Schedule(
         SimTime::Micros(static_cast<int64_t>(lane) * 40),
         [h, from, lane, hops] { PostHop(h, from, lane, 0, hops); });
   }
@@ -154,7 +151,7 @@ TEST(ShardGroupTest, CanonicalDeliveryUnderAdversarialInterleavings) {
   auto run = [](bool parallel, SimTime step) {
     Harness h(3);
     for (uint32_t src : {1u, 2u}) {
-      h.kernels[src]->ScheduleFlagged(SimTime::Zero(), [&h, src] {
+      h.kernels[src]->Schedule(SimTime::Zero(), [&h, src] {
         SimTime wave1 = h.kernels[src]->Now() + kWindow;
         SimTime wave2 = wave1 + kWindow;
         // src 1 posts odd lanes, src 2 even lanes, both descending.
@@ -184,53 +181,6 @@ TEST(ShardGroupTest, CanonicalDeliveryUnderAdversarialInterleavings) {
     EXPECT_EQ(serial[i].lane, i) << "wave 1 position " << i;
     EXPECT_EQ(serial[6 + i].lane, i) << "wave 2 position " << i;
   }
-}
-
-// A sparse cross-shard workload over a kernel with dense local (never
-// posting) activity: window-by-window and coalesced runs must be
-// bit-identical in delivery logs, with the coalesced run executing
-// strictly fewer epochs.
-TEST(ShardGroupTest, CoalescedMatchesWindowByWindow) {
-  auto run = [](bool coalesce) {
-    Harness h(2);
-    // Dense unflagged self-ticks on kernel 0 keep every window non-idle.
-    struct Tick {
-      Harness* h;
-      int left;
-      void operator()() {
-        if (left-- > 0) h->kernels[0]->Schedule(SimTime::Micros(100), *this);
-      }
-    };
-    h.kernels[0]->Schedule(SimTime::Zero(), Tick{&h, 400});
-    // Kernel 1 pings kernel 0 every 10ms; the pong posts nothing.
-    for (int64_t ms : {0, 10, 20, 30}) {
-      h.kernels[1]->ScheduleFlagged(SimTime::Millis(ms), [&h, ms] {
-        PostHop(&h, 1, static_cast<uint64_t>(ms), 0, 1);
-      });
-    }
-    ShardGroup::RunOptions options;
-    if (coalesce) {
-      std::vector<Simulator*>* kernels = &h.kernels;
-      options.post_horizon = [kernels](uint32_t k) {
-        return (*kernels)[k]->flagged_horizon();
-      };
-    }
-    EXPECT_FALSE(h.group->Advance(SimTime::Max(), options));
-    uint64_t epochs = h.group->epochs();
-    EXPECT_EQ(h.group->late_deliveries(), 0u);
-    EXPECT_EQ(h.group->undelivered(), 0u);
-    return std::make_tuple(h.logs[0], h.logs[1], epochs,
-                           h.group->coalesced_epochs());
-  };
-  auto [log0_a, log1_a, epochs_a, coalesced_a] = run(false);
-  auto [log0_b, log1_b, epochs_b, coalesced_b] = run(true);
-  EXPECT_EQ(log0_a, log0_b);
-  EXPECT_EQ(log1_a, log1_b);
-  EXPECT_EQ(coalesced_a, 0u);
-  EXPECT_GT(coalesced_b, 0u);
-  EXPECT_LT(epochs_b, epochs_a);
-  ASSERT_EQ(log0_a.size(), 4u);  // four pings...
-  ASSERT_EQ(log1_a.size(), 4u);  // ...four pongs
 }
 
 // Deep ping-pong chains leave envelopes in flight at every barrier; once
@@ -278,10 +228,32 @@ TEST(ShardGroupTest, UndeliveredCountsBufferedEnvelopes) {
   });
   EXPECT_EQ(h.group->messages_posted(), 1u);
   EXPECT_EQ(h.group->undelivered(), 1u);
-  ShardGroup::RunOptions options;
-  h.group->Advance(SimTime::Max(), options);
+  h.group->Advance(SimTime::Max(), /*parallel=*/false);
   EXPECT_EQ(h.group->undelivered(), 0u);
   ASSERT_EQ(h.logs[0].size(), 1u);
+}
+
+// A post that breaks the one-window lookahead contract (its `deliver`
+// lies behind the destination's clock) is counted exactly once by the
+// late-delivery tripwire, yet still runs — clamped to the destination's
+// Now() — and leaves nothing buffered.
+TEST(ShardGroupTest, LateDeliveryIsCountedAndClampedToNow) {
+  Harness h(2);
+  // Move both clocks well past the envelope's delivery time first.
+  h.kernels[1]->Schedule(kWindow * 10, [] {});
+  EXPECT_FALSE(h.group->Advance(SimTime::Max(), /*parallel=*/false));
+  const SimTime clock = h.kernels[1]->Now();
+  ASSERT_GT(clock, kWindow);
+  EXPECT_EQ(h.group->late_deliveries(), 0u);
+
+  h.group->Post(0, 1, kWindow, 7, 0, [&h] {
+    h.logs[1].push_back({h.kernels[1]->Now().nanos(), 7, 0});
+  });
+  EXPECT_FALSE(h.group->Advance(SimTime::Max(), /*parallel=*/false));
+  EXPECT_EQ(h.group->late_deliveries(), 1u);
+  EXPECT_EQ(h.group->undelivered(), 0u);
+  ASSERT_EQ(h.logs[1].size(), 1u);
+  EXPECT_EQ(h.logs[1][0].at_nanos, clock.nanos());
 }
 
 // Oversized payloads land in per-source arena cells that recycle once the
@@ -289,17 +261,17 @@ TEST(ShardGroupTest, UndeliveredCountsBufferedEnvelopes) {
 // must add no exchange allocations and no heap allocations at all.
 TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
   Harness h(2);
-  ShardGroup::RunOptions options;  // serial: runner threads would allocate
   auto workload = [&h] {
     for (uint64_t lane = 0; lane < 4; ++lane) {
-      h.kernels[0]->ScheduleFlagged(
+      h.kernels[0]->Schedule(
           SimTime::Micros(static_cast<int64_t>(lane) * 40),
           [harness = &h, lane] { PostFatHop(harness, 0, lane, 0, 9); });
     }
   };
   // Warm-up: grows mailboxes, arena cells, kernel slot tables, heaps.
+  // Serial throughout: runner threads would allocate.
   workload();
-  h.group->Advance(SimTime::Max(), options);
+  h.group->Advance(SimTime::Max(), /*parallel=*/false);
   EXPECT_EQ(h.group->messages_delivered(), 40u);
   uint64_t warmed_allocs = h.group->exchange_allocs();
   EXPECT_GT(warmed_allocs, 0u);  // the fat payloads did hit the arena
@@ -308,7 +280,7 @@ TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
   for (auto& log : h.logs) log.clear();
   uint64_t heap_before = g_allocation_count.load(std::memory_order_relaxed);
   workload();
-  h.group->Advance(SimTime::Max(), options);
+  h.group->Advance(SimTime::Max(), /*parallel=*/false);
   uint64_t heap_after = g_allocation_count.load(std::memory_order_relaxed);
   EXPECT_EQ(heap_after - heap_before, 0u);
   EXPECT_EQ(h.group->exchange_allocs(), warmed_allocs);
@@ -321,12 +293,11 @@ TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
 // chains touch only containers, which retain capacity across runs.
 TEST(ShardGroupTest, InlinePayloadsSkipTheArena) {
   Harness h(2);
-  ShardGroup::RunOptions options;
   StartChains(&h, 0, /*lanes=*/2, /*hops=*/5);
-  h.group->Advance(SimTime::Max(), options);
+  h.group->Advance(SimTime::Max(), /*parallel=*/false);
   uint64_t after_first = h.group->exchange_allocs();
   StartChains(&h, 0, /*lanes=*/2, /*hops=*/5);
-  h.group->Advance(SimTime::Max(), options);
+  h.group->Advance(SimTime::Max(), /*parallel=*/false);
   // No arena cells and no further container growth on the second run.
   EXPECT_EQ(h.group->exchange_allocs(), after_first);
   EXPECT_EQ(h.group->messages_delivered(), 24u);

@@ -209,44 +209,5 @@ TEST(SimulatorTest, ScheduleAtPastClampsToNow) {
   EXPECT_EQ(fired_at, SimTime::Micros(10));
 }
 
-TEST(SimulatorTest, FlaggedHorizonTracksEarliestPendingFlagged) {
-  Simulator simulator;
-  EXPECT_EQ(simulator.flagged_horizon(), SimTime::Max());
-  simulator.Schedule(SimTime::Micros(1), [] {});  // unflagged: invisible
-  EXPECT_EQ(simulator.flagged_horizon(), SimTime::Max());
-  simulator.ScheduleFlagged(SimTime::Micros(20), [] {});
-  EventId early = simulator.ScheduleFlagged(SimTime::Micros(5), [] {});
-  EXPECT_EQ(simulator.flagged_horizon(), SimTime::Micros(5));
-  simulator.Cancel(early);  // pruned lazily at the next query
-  EXPECT_EQ(simulator.flagged_horizon(), SimTime::Micros(20));
-  simulator.Run();
-  EXPECT_EQ(simulator.flagged_horizon(), SimTime::Max());
-}
-
-TEST(SimulatorTest, FlaggedEventsFireInScheduleOrderWithUnflagged) {
-  Simulator simulator;
-  std::vector<int> order;
-  simulator.Schedule(SimTime::Micros(7), [&] { order.push_back(1); });
-  simulator.ScheduleFlagged(SimTime::Micros(7), [&] { order.push_back(2); });
-  simulator.ScheduleFlaggedAt(SimTime::Micros(7),
-                              [&] { order.push_back(3); });
-  simulator.Schedule(SimTime::Micros(7), [&] { order.push_back(4); });
-  simulator.Run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-}
-
-TEST(SimulatorTest, FlaggedHeapCompactsAcrossRepeatedDrains) {
-  Simulator simulator;
-  for (int wave = 0; wave < 100; ++wave) {
-    for (int i = 0; i < 50; ++i) {
-      simulator.ScheduleFlagged(SimTime::Micros(i), [] {});
-    }
-    simulator.Run();
-  }
-  // Stale entries are compacted in place, so the flagged bookkeeping
-  // stays proportional to pending events, not total ever scheduled.
-  EXPECT_LT(simulator.memory_bytes(), 64 * 1024u);
-}
-
 }  // namespace
 }  // namespace hyperprof::sim
