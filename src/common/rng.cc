@@ -2,7 +2,10 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <numbers>
+#include <utility>
 
 namespace hyperprof {
 
@@ -17,6 +20,14 @@ uint64_t SplitMix64(uint64_t& x) {
 }
 
 uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+
+[[noreturn]] void InvalidWeight(size_t index, double weight) {
+  std::fprintf(stderr,
+               "AliasSampler: weight %zu is %g; weights must be finite and "
+               "non-negative\n",
+               index, weight);
+  std::abort();
+}
 
 }  // namespace
 
@@ -99,50 +110,52 @@ double Rng::NextBoundedPareto(double alpha, double lo, double hi) {
 
 Rng Rng::Fork() { return Rng(Next() ^ 0xd1b54a32d192ed03ULL); }
 
-AliasSampler::AliasSampler(const std::vector<double>& weights) {
-  const size_t n = weights.empty() ? 1 : weights.size();
-  std::vector<double> w(weights);
-  if (w.empty()) w.push_back(1.0);
+AliasSampler::AliasSampler(std::vector<double> weights)
+    : prob_(std::move(weights)) {
+  if (prob_.empty()) prob_.push_back(1.0);
+  const size_t n = prob_.size();
   double total = 0;
-  for (double v : w) {
-    assert(v >= 0);
-    total += v;
+  for (size_t i = 0; i < n; ++i) {
+    const double w = prob_[i];
+    if (!(w >= 0 && std::isfinite(w))) InvalidWeight(i, w);
+    total += w;
   }
   if (total <= 0) {
-    w.assign(n, 1.0);
+    prob_.assign(n, 1.0);
     total = static_cast<double>(n);
   }
-  normalized_.resize(n);
-  for (size_t i = 0; i < n; ++i) normalized_[i] = w[i] / total;
 
-  prob_.assign(n, 0.0);
+  // prob_ holds each entry's scaled weight (mean 1) until the entry leaves
+  // the work stacks. One array holds both LIFO stacks: entries below 1 grow
+  // up from the front, the rest grow down from the back. Every entry sits
+  // on at most one stack, so they never meet.
   alias_.assign(n, 0);
-  std::vector<double> scaled(n);
-  std::vector<uint32_t> small, large;
+  std::vector<uint32_t> work(n);
+  size_t small_end = 0;
+  size_t large_begin = n;
   for (size_t i = 0; i < n; ++i) {
-    scaled[i] = normalized_[i] * static_cast<double>(n);
-    if (scaled[i] < 1.0) {
-      small.push_back(static_cast<uint32_t>(i));
+    prob_[i] = prob_[i] / total * static_cast<double>(n);
+    if (prob_[i] < 1.0) {
+      work[small_end++] = static_cast<uint32_t>(i);
     } else {
-      large.push_back(static_cast<uint32_t>(i));
+      work[--large_begin] = static_cast<uint32_t>(i);
     }
   }
-  while (!small.empty() && !large.empty()) {
-    uint32_t s = small.back();
-    small.pop_back();
-    uint32_t l = large.back();
-    large.pop_back();
-    prob_[s] = scaled[s];
+  while (small_end > 0 && large_begin < n) {
+    const uint32_t s = work[--small_end];
+    const uint32_t l = work[large_begin++];
+    // prob_[s] is final: s's own share of its column.
     alias_[s] = l;
-    scaled[l] = scaled[l] + scaled[s] - 1.0;
-    if (scaled[l] < 1.0) {
-      small.push_back(l);
+    prob_[l] = prob_[l] + prob_[s] - 1.0;
+    if (prob_[l] < 1.0) {
+      work[small_end++] = l;
     } else {
-      large.push_back(l);
+      work[--large_begin] = l;
     }
   }
-  for (uint32_t l : large) prob_[l] = 1.0;
-  for (uint32_t s : small) prob_[s] = 1.0;
+  // Entries left on either stack own their whole column.
+  for (size_t k = 0; k < small_end; ++k) prob_[work[k]] = 1.0;
+  for (size_t k = large_begin; k < n; ++k) prob_[work[k]] = 1.0;
 }
 
 size_t AliasSampler::Sample(Rng& rng) const {
@@ -150,7 +163,20 @@ size_t AliasSampler::Sample(Rng& rng) const {
   return rng.NextDouble() < prob_[i] ? i : alias_[i];
 }
 
-double AliasSampler::Probability(size_t i) const { return normalized_[i]; }
+double AliasSampler::Probability(size_t i) const {
+  // Column i's own share plus the remainder of every column aliased to i
+  // (whole columns contribute 1 - 1 = 0).
+  double mass = prob_[i];
+  for (size_t j = 0; j < prob_.size(); ++j) {
+    if (alias_[j] == i) mass += 1.0 - prob_[j];
+  }
+  return mass / static_cast<double>(prob_.size());
+}
+
+size_t AliasSampler::memory_bytes() const {
+  return prob_.capacity() * sizeof(double) +
+         alias_.capacity() * sizeof(uint32_t);
+}
 
 namespace {
 

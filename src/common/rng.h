@@ -73,27 +73,36 @@ class Rng {
  *
  * Platform engines sample millions of categorized function activities per
  * run; the alias table makes each draw two RNG calls and two table reads.
+ * The table is 12 bytes per entry (a double threshold and a uint32 alias),
+ * built in place over the caller's weight vector.
  */
 class AliasSampler {
  public:
   /**
-   * Builds the table from non-negative weights; weights need not be
-   * normalized. An all-zero weight vector yields a uniform sampler.
+   * Builds the table from finite, non-negative weights, which need not be
+   * normalized; the vector's storage becomes the table. An all-zero weight
+   * vector yields a uniform sampler. Aborts on a negative, NaN or
+   * infinite weight in every build type.
    */
-  explicit AliasSampler(const std::vector<double>& weights);
+  explicit AliasSampler(std::vector<double> weights);
 
   /** Samples an index in [0, size()). */
   size_t Sample(Rng& rng) const;
 
   size_t size() const { return prob_.size(); }
 
-  /** Normalized probability of index i (for inspection/tests). */
+  /**
+   * Normalized probability of index i, recovered from the table in O(n)
+   * (for inspection/tests).
+   */
   double Probability(size_t i) const;
+
+  /** Bytes reserved by the table. */
+  size_t memory_bytes() const;
 
  private:
   std::vector<double> prob_;
   std::vector<uint32_t> alias_;
-  std::vector<double> normalized_;
 };
 
 /**
@@ -109,6 +118,7 @@ class ZipfSampler {
 
   size_t Sample(Rng& rng) const { return sampler_.Sample(rng); }
   size_t size() const { return sampler_.size(); }
+  size_t memory_bytes() const { return sampler_.memory_bytes(); }
 
  private:
   AliasSampler sampler_;

@@ -56,7 +56,8 @@ PlatformEngine::PlatformEngine(EngineContext context, PlatformSpec spec,
   assert(!sharded_ || context_.shard_count > 0);
   assert(!sharded_ || spec_.worker_cores == 0);
   assert(context_.simulator && context_.dfs && context_.rpc &&
-         context_.tracer && context_.profiler && context_.registry);
+         context_.tracer && context_.profiler && context_.registry &&
+         context_.block_sampler);
   // Windowed profiling rides the tracer's finish path: attaching here
   // means every sampled completion feeds its window without a second
   // per-query hook in the engine hot path.
@@ -68,7 +69,7 @@ PlatformEngine::PlatformEngine(EngineContext context, PlatformSpec spec,
   for (const auto& type : spec_.query_types) {
     type_weights.push_back(type.weight);
   }
-  type_sampler_ = std::make_unique<AliasSampler>(type_weights);
+  type_sampler_ = std::make_unique<AliasSampler>(std::move(type_weights));
 
   std::vector<double> mix_weights;
   for (size_t i = 0; i < profiling::kNumFnCategories; ++i) {
@@ -78,7 +79,7 @@ PlatformEngine::PlatformEngine(EngineContext context, PlatformSpec spec,
     }
   }
   assert(!mix_categories_.empty());
-  mix_sampler_ = std::make_unique<AliasSampler>(mix_weights);
+  mix_sampler_ = std::make_unique<AliasSampler>(std::move(mix_weights));
 
   symbols_.resize(profiling::kNumFnCategories);
   for (size_t i = 0; i < profiling::kNumFnCategories; ++i) {
@@ -89,8 +90,6 @@ PlatformEngine::PlatformEngine(EngineContext context, PlatformSpec spec,
       symbols_[i].push_back(spec_.name + "::internal::unknown_leaf");
     }
   }
-  block_sampler_ =
-      std::make_unique<ZipfSampler>(spec_.block_space, spec_.block_zipf_s);
   if (spec_.worker_cores > 0) {
     worker_pool_ = std::make_unique<sim::Resource>(
         context_.simulator, spec_.name + "/workers", spec_.worker_cores);
@@ -372,7 +371,7 @@ void PlatformEngine::RunIoPhase(std::shared_ptr<QueryState> query,
     auto barrier = sim::Barrier(
         static_cast<size_t>(wave), [self]() { (*self)(); });
     for (int i = 0; i < wave; ++i) {
-      uint64_t block_id = block_sampler_->Sample(DrawStream(*query));
+      uint64_t block_id = context_.block_sampler->Sample(DrawStream(*query));
       SimTime start = context_.simulator->Now();
       auto on_io = [this, query, start, barrier,
                     name = phase.write ? dfs_write_span_id_

@@ -57,6 +57,10 @@ struct EngineContext {
   // shards carry a deferred-evaluation instance that the post-run merge
   // combines at the barrier (see profiling/continuous.h).
   profiling::ContinuousProfiler* continuous = nullptr;
+  // Zipf popularity table over spec.block_space, which IO phases draw
+  // block ids from. Read-only, so every engine of a platform (fused, or
+  // all of its worker shards) shares the one table its owner built.
+  const ZipfSampler* block_sampler = nullptr;
 
   // --- Sharded mode (FleetConfig::shards_per_platform > 0) ---
   // When `shard_io` is set the engine runs in per-query-stream mode: it
@@ -183,7 +187,6 @@ class PlatformEngine {
   std::vector<size_t> mix_categories_;  // categories with nonzero weight
   // Symbols per fine category, resolved once from the registry.
   std::vector<std::vector<std::string>> symbols_;
-  std::unique_ptr<ZipfSampler> block_sampler_;
   // Finite worker-CPU pool when spec.worker_cores > 0 (else null).
   std::unique_ptr<sim::Resource> worker_pool_;
   // Interned names, resolved once at construction so the per-query path

@@ -181,6 +181,7 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
   EngineContext context;
   context.simulator = slot->simulator.get();
   context.dfs = slot->dfs.get();
+  context.block_sampler = slot->block_sampler.get();
   context.rpc = slot->rpc.get();
   context.tracer = slot->tracer.get();
   context.profiler = slot->profiler.get();
@@ -256,6 +257,7 @@ void FleetSimulation::AddShardedPlatform(PlatformSpec spec) {
     EngineContext context;
     context.simulator = worker.simulator.get();
     context.dfs = slot->dfs.get();  // unused when sharded; kept non-null
+    context.block_sampler = slot->block_sampler.get();
     context.rpc = worker.rpc.get();
     context.tracer = worker.tracer.get();
     context.profiler = worker.profiler.get();
@@ -297,6 +299,8 @@ void FleetSimulation::BuildStoragePlane(PlatformSlot& slot,
       storage::MinKeysForMass(slot.spec.ram_ssd_hit_target,
                               slot.spec.block_space, slot.spec.block_zipf_s);
   slot.dfs->PrewarmZipf(ram_blocks, ssd_blocks, slot.spec.typical_block_bytes);
+  slot.block_sampler = std::make_unique<ZipfSampler>(slot.spec.block_space,
+                                                     slot.spec.block_zipf_s);
 }
 
 std::unique_ptr<net::FaultModel> FleetSimulation::InstallFaults(
@@ -674,6 +678,8 @@ FleetMemoryStats FleetSimulation::MemoryStats() const {
     // Four clusters of worker hosts per platform region (the client and
     // fan-out draw space of the engine).
     stats.simulated_workers += 4ULL * config_.worker_hosts;
+    stats.block_table_bytes += slot->block_sampler->memory_bytes();
+    stats.cache_bytes += slot->dfs->memory_bytes();
   }
   stats.total_bytes =
       stats.kernel_bytes + stats.tracer_bytes + stats.profiler_bytes;

@@ -165,9 +165,13 @@ struct FleetMemoryStats {
   uint64_t kernel_bytes = 0;    // event heaps + slot tables
   uint64_t tracer_bytes = 0;    // open slots + retained traces
   uint64_t profiler_bytes = 0;  // samples + symbol tables
-  uint64_t total_bytes = 0;
+  uint64_t total_bytes = 0;     // kernel + tracer + profiler
   uint64_t simulated_workers = 0;  // worker hosts modeled fleet-wide
   double bytes_per_worker = 0;     // total_bytes / simulated_workers
+  // Set-up state, sized by block_space rather than by the run, so it is
+  // reported beside total_bytes rather than in it.
+  uint64_t block_table_bytes = 0;  // one Zipf block table per platform
+  uint64_t cache_bytes = 0;        // prewarmed RAM/SSD cache indexes
 };
 
 /**
@@ -323,6 +327,8 @@ class FleetSimulation {
     std::unique_ptr<net::RpcSystem> rpc;
     std::unique_ptr<net::FaultModel> faults;
     std::unique_ptr<storage::DistributedFileSystem> dfs;
+    // The platform's block popularity table, shared by all its engines.
+    std::unique_ptr<ZipfSampler> block_sampler;
     std::unique_ptr<profiling::Tracer> tracer;
     std::unique_ptr<profiling::CpuProfiler> profiler;
     std::unique_ptr<profiling::ContinuousProfiler> continuous;
@@ -348,9 +354,10 @@ class FleetSimulation {
   void AddShardedPlatform(PlatformSpec spec);
 
   /**
-   * Builds `slot`'s storage plane — kernel, network, RPC, and a
-   * Zipf-prewarmed DFS — forking rpc then dfs from `shard_rng`. Both
-   * platform modes call it first, so the plane draws the same streams.
+   * Builds `slot`'s storage plane — kernel, network, RPC, a Zipf-prewarmed
+   * DFS, and the block table its engines draw from — forking rpc then dfs
+   * from `shard_rng`. Both platform modes call it first, so the plane
+   * draws the same streams.
    */
   void BuildStoragePlane(PlatformSlot& slot, Rng& shard_rng) const;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <utility>
 
 namespace hyperprof::storage {
@@ -41,11 +42,36 @@ net::NodeId DistributedFileSystem::ServerNode(uint32_t index) const {
 void DistributedFileSystem::PrewarmZipf(uint64_t ram_blocks,
                                         uint64_t ssd_blocks,
                                         uint64_t block_bytes) {
+  // Every cache belongs to one store and sees its own ids in ascending
+  // order whichever way the loop runs, so filling one store at a time
+  // leaves the same LRU state as an id-major loop while keeping a single
+  // store's caches hot. Counting-sort the ids by home server (each bucket
+  // stays ascending), then fill store by store.
+  const uint32_t servers = params_.num_fileservers;
+  std::vector<uint64_t> begin(servers + 1, 0);
+  for (uint64_t id = 0; id < ssd_blocks; ++id) ++begin[HomeServer(id) + 1];
+  for (uint32_t s = 0; s < servers; ++s) begin[s + 1] += begin[s];
+  std::vector<uint64_t> ids(ssd_blocks);
+  std::vector<uint64_t> next(begin.begin(), begin.end() - 1);
   for (uint64_t id = 0; id < ssd_blocks; ++id) {
-    TieredStore* store = stores_[HomeServer(id)].get();
-    store->Prewarm(id, block_bytes, Tier::kSsd);
-    if (id < ram_blocks) store->Prewarm(id, block_bytes, Tier::kRam);
+    ids[next[HomeServer(id)]++] = id;
   }
+  for (uint32_t s = 0; s < servers; ++s) {
+    const std::span<const uint64_t> bucket(ids.data() + begin[s],
+                                           ids.data() + begin[s + 1]);
+    // The RAM share (ids below ram_blocks) is a prefix of the bucket.
+    const size_t ram_count = static_cast<size_t>(
+        std::lower_bound(bucket.begin(), bucket.end(), ram_blocks) -
+        bucket.begin());
+    stores_[s]->Prewarm(bucket, block_bytes, Tier::kSsd);
+    stores_[s]->Prewarm(bucket.first(ram_count), block_bytes, Tier::kRam);
+  }
+}
+
+size_t DistributedFileSystem::memory_bytes() const {
+  size_t bytes = 0;
+  for (const auto& store : stores_) bytes += store->memory_bytes();
+  return bytes;
 }
 
 void DistributedFileSystem::Read(const net::NodeId& client, uint64_t block_id,

@@ -105,6 +105,9 @@ class DistributedFileSystem {
   void PrewarmZipf(uint64_t ram_blocks, uint64_t ssd_blocks,
                    uint64_t block_bytes);
 
+  /** Bytes reserved by every fileserver's cache indexes. */
+  size_t memory_bytes() const;
+
   const TieredStore& server_store(uint32_t index) const {
     return *stores_[index];
   }

@@ -96,11 +96,9 @@ void LruCache::EvictUntilFits(uint64_t incoming_bytes) {
   }
 }
 
-void LruCache::Grow() {
-  const size_t new_cells =
-      table_.empty() ? kInitialTableCells : table_.size() * 2;
-  std::vector<uint32_t> fresh(new_cells, 0);
-  const size_t mask = new_cells - 1;
+void LruCache::Rehash(size_t cells) {
+  std::vector<uint32_t> fresh(cells, 0);
+  const size_t mask = cells - 1;
   for (const uint32_t v : table_) {
     if (v == 0) continue;
     size_t at = Mix(slots_[v - 1].block_id) & mask;
@@ -143,7 +141,9 @@ bool LruCache::Insert(uint64_t block_id, uint64_t bytes) {
   EvictUntilFits(bytes);
   // Max load factor 1/2: cells are 4 bytes, so doubling early buys short
   // probe chains for almost nothing.
-  if ((entry_count_ + 1) * 2 > table_.size()) Grow();
+  if ((entry_count_ + 1) * 2 > table_.size()) {
+    Rehash(table_.empty() ? kInitialTableCells : table_.size() * 2);
+  }
   uint32_t slot;
   if (!free_slots_.empty()) {
     slot = free_slots_.back();
@@ -173,6 +173,19 @@ bool LruCache::Erase(uint64_t block_id) {
 
 bool LruCache::Contains(uint64_t block_id) const {
   return FindCell(block_id) != kNpos;
+}
+
+void LruCache::Reserve(size_t entries) {
+  // The same power of two that Insert's doublings would reach.
+  size_t cells = kInitialTableCells;
+  while (cells < 2 * entries) cells *= 2;
+  if (cells > table_.size()) Rehash(cells);
+}
+
+size_t LruCache::memory_bytes() const {
+  return table_.capacity() * sizeof(uint32_t) +
+         slots_.capacity() * sizeof(Slot) +
+         free_slots_.capacity() * sizeof(uint32_t);
 }
 
 double LruCache::HitRate() const {

@@ -43,6 +43,17 @@ class LruCache {
   /** Residency check without LRU promotion. */
   bool Contains(uint64_t block_id) const;
 
+  /**
+   * Sizes the index so `entries` resident blocks fit without a rehash.
+   * Only the index: the slot array keeps its amortized growth, whose
+   * headroom absorbs a warmed cache's first new blocks (a slot array
+   * reserved exactly would reallocate on the first of them).
+   */
+  void Reserve(size_t entries);
+
+  /** Bytes reserved by the index, the slot array and the free list. */
+  size_t memory_bytes() const;
+
   uint64_t used_bytes() const { return used_bytes_; }
   uint64_t capacity_bytes() const { return capacity_bytes_; }
   size_t entry_count() const { return entry_count_; }
@@ -71,7 +82,7 @@ class LruCache {
   void EraseCell(size_t cell);
   void RemoveSlot(uint32_t slot);
   void EvictUntilFits(uint64_t incoming_bytes);
-  void Grow();
+  void Rehash(size_t cells);
 
   uint64_t capacity_bytes_;
   uint64_t used_bytes_ = 0;

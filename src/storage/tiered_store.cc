@@ -1,5 +1,7 @@
 #include "storage/tiered_store.h"
 
+#include <algorithm>
+
 namespace hyperprof::storage {
 
 const char* TierName(Tier tier) {
@@ -58,17 +60,15 @@ AccessResult TieredStore::Write(uint64_t block_id, uint64_t bytes, Rng& rng) {
   return result;
 }
 
-void TieredStore::Prewarm(uint64_t block_id, uint64_t bytes, Tier tier) {
-  switch (tier) {
-    case Tier::kRam:
-      ram_.Insert(block_id, bytes);
-      break;
-    case Tier::kSsd:
-      ssd_.Insert(block_id, bytes);
-      break;
-    case Tier::kHdd:
-      break;
-  }
+void TieredStore::Prewarm(std::span<const uint64_t> block_ids, uint64_t bytes,
+                          Tier tier) {
+  if (tier == Tier::kHdd) return;
+  LruCache& cache = tier == Tier::kRam ? ram_ : ssd_;
+  // No more than capacity / bytes of the batch can stay resident.
+  const uint64_t fit = cache.capacity_bytes() / std::max<uint64_t>(bytes, 1);
+  cache.Reserve(cache.entry_count() +
+                std::min<uint64_t>(block_ids.size(), fit));
+  for (const uint64_t id : block_ids) cache.Insert(id, bytes);
 }
 
 double TieredStore::TierServeFraction(Tier tier) const {

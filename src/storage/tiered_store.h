@@ -2,6 +2,7 @@
 #define HYPERPROF_STORAGE_TIERED_STORE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 
 #include "common/rng.h"
@@ -65,11 +66,17 @@ class TieredStore {
   AccessResult Write(uint64_t block_id, uint64_t bytes, Rng& rng);
 
   /**
-   * Installs a block into the given cache tier without timing or stats —
-   * used to start simulations from a warm steady state instead of an
-   * all-cold fleet. No-op for Tier::kHdd (HDD holds everything).
+   * Installs blocks, in order, into the given cache tier without timing or
+   * stats — used to start simulations from a warm steady state instead of
+   * an all-cold fleet. The cache index is sized for the batch up front.
+   * No-op for Tier::kHdd (HDD holds everything).
    */
-  void Prewarm(uint64_t block_id, uint64_t bytes, Tier tier);
+  void Prewarm(std::span<const uint64_t> block_ids, uint64_t bytes, Tier tier);
+
+  /** Installs one block; see the batch overload. */
+  void Prewarm(uint64_t block_id, uint64_t bytes, Tier tier) {
+    Prewarm({&block_id, 1}, bytes, tier);
+  }
 
   /** Fraction of reads served by each tier (RAM, SSD, HDD). */
   double TierServeFraction(Tier tier) const;
@@ -84,6 +91,11 @@ class TieredStore {
 
   const LruCache& ram_cache() const { return ram_; }
   const LruCache& ssd_cache() const { return ssd_; }
+
+  /** Bytes reserved by both cache indexes. */
+  size_t memory_bytes() const {
+    return ram_.memory_bytes() + ssd_.memory_bytes();
+  }
 
  private:
   SimTime DeviceTime(const TierParams& tier, uint64_t bytes, Rng& rng) const;

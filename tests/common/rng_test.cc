@@ -166,6 +166,48 @@ TEST(AliasSamplerTest, SingleElement) {
   EXPECT_EQ(sampler.Sample(rng), 0u);
 }
 
+/**
+ * Order-sensitive FNV-1a fold of `draws` samples: any change to the table
+ * a sampler builds moves it, not only a change to the distribution.
+ */
+template <typename Sampler>
+uint64_t DrawDigest(const Sampler& sampler, uint64_t seed, int draws) {
+  Rng rng(seed);
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < draws; ++i) {
+    digest ^= sampler.Sample(rng);
+    digest *= 0x100000001b3ULL;
+  }
+  return digest;
+}
+
+TEST(AliasSamplerTest, DrawDigestIsPinned) {
+  // Irregular weights with zeros and a few heavy entries, so both work
+  // stacks are long and the pairing order shapes the table.
+  std::vector<double> weights(1000);
+  for (size_t i = 0; i < weights.size(); ++i) {
+    weights[i] =
+        i % 5 == 0 ? 0.0 : std::fmod(0.618 * static_cast<double>(i), 3.0);
+  }
+  weights[17] = 40.0;
+  weights[500] = 25.5;
+  AliasSampler sampler(weights);
+  EXPECT_EQ(DrawDigest(sampler, 71, 100000), 0x82cf9530b8ed8875ULL);
+}
+
+TEST(AliasSamplerDeathTest, RejectsNegativeWeight) {
+  EXPECT_DEATH(AliasSampler({1.0, -0.5, 2.0}), "weight 1 is -0.5");
+}
+
+TEST(AliasSamplerDeathTest, RejectsNanWeight) {
+  EXPECT_DEATH(AliasSampler({1.0, 2.0, std::nan("")}), "weight 2 is -?nan");
+}
+
+TEST(ZipfSamplerTest, DrawDigestIsPinned) {
+  ZipfSampler zipf(1 << 16, 0.85);
+  EXPECT_EQ(DrawDigest(zipf, 67, 100000), 0x25e3423ee6ddde88ULL);
+}
+
 TEST(ZipfSamplerTest, RankOneIsMostPopular) {
   ZipfSampler zipf(100, 1.0);
   Rng rng(59);

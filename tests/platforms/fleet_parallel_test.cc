@@ -256,6 +256,24 @@ TEST(FleetShardingTest, MemoryStatsAccountSimulationState) {
   EXPECT_GT(stats.bytes_per_worker, 0.0);
 }
 
+TEST(FleetShardingTest, OneBlockTablePerPlatformAtEveryShardCount) {
+  // Set-up state only: nothing runs, so this is cheap at any shard count.
+  auto setup_stats = [](uint32_t shards) {
+    FleetConfig config;
+    config.shards_per_platform = shards;
+    FleetSimulation fleet(config);
+    AddSmallPlatforms(fleet);
+    return fleet.MemoryStats();
+  };
+  const FleetMemoryStats fused = setup_stats(0);
+  // Three tables of 1 << 14 entries at 12 bytes each (a double threshold
+  // and a uint32 alias), however many engines read them.
+  EXPECT_EQ(fused.block_table_bytes, 3u * (1u << 14) * 12u);
+  EXPECT_EQ(setup_stats(1).block_table_bytes, fused.block_table_bytes);
+  EXPECT_EQ(setup_stats(3).block_table_bytes, fused.block_table_bytes);
+  EXPECT_GT(fused.cache_bytes, 0u);
+}
+
 void ExpectContinuousIdentical(FleetSimulation& a, FleetSimulation& b) {
   ASSERT_EQ(a.platform_count(), b.platform_count());
   for (size_t p = 0; p < a.platform_count(); ++p) {

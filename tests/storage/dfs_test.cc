@@ -1,5 +1,7 @@
 #include "storage/dfs.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "net/fault.h"
@@ -131,6 +133,45 @@ TEST_F(DfsTest, PrewarmZipfWarmsHotBlocks) {
   EXPECT_EQ(hot_tier, Tier::kRam);
   EXPECT_EQ(warm_tier, Tier::kSsd);
   EXPECT_EQ(cold_tier, Tier::kHdd);
+}
+
+TEST_F(DfsTest, PrewarmThatEvictsMatchesIdMajorReference) {
+  // Each server holds 16 RAM and 64 SSD blocks of 4 KiB, far below its
+  // ~75 RAM and ~250 SSD share of the prewarm, so prewarm itself evicts.
+  DfsParams params = SmallParams();
+  params.store.ram_bytes = 64 << 10;
+  params.store.ssd_bytes = 256 << 10;
+  DistributedFileSystem dfs(&simulator_, &rpc_, params, Rng(3));
+  const uint64_t ram_blocks = 300, ssd_blocks = 1000, block_bytes = 4096;
+  dfs.PrewarmZipf(ram_blocks, ssd_blocks, block_bytes);
+
+  // Reference: one id-major pass, each id to its home server's caches.
+  std::vector<LruCache> ram, ssd;
+  for (uint32_t s = 0; s < params.num_fileservers; ++s) {
+    ram.emplace_back(params.store.ram_bytes);
+    ssd.emplace_back(params.store.ssd_bytes);
+  }
+  for (uint64_t id = 0; id < ssd_blocks; ++id) {
+    const uint32_t home = dfs.HomeServer(id);
+    ssd[home].Insert(id, block_bytes);
+    if (id < ram_blocks) ram[home].Insert(id, block_bytes);
+  }
+  for (uint32_t s = 0; s < params.num_fileservers; ++s) {
+    const LruCache& ram_cache = dfs.server_store(s).ram_cache();
+    const LruCache& ssd_cache = dfs.server_store(s).ssd_cache();
+    EXPECT_GT(ram[s].evictions(), 0u) << "server " << s;
+    EXPECT_GT(ssd[s].evictions(), 0u) << "server " << s;
+    EXPECT_EQ(ram_cache.evictions(), ram[s].evictions()) << "server " << s;
+    EXPECT_EQ(ssd_cache.evictions(), ssd[s].evictions()) << "server " << s;
+    EXPECT_EQ(ram_cache.entry_count(), ram[s].entry_count()) << "server " << s;
+    EXPECT_EQ(ssd_cache.entry_count(), ssd[s].entry_count()) << "server " << s;
+    for (uint64_t id = 0; id < ssd_blocks; ++id) {
+      EXPECT_EQ(ram_cache.Contains(id), ram[s].Contains(id))
+          << "server " << s << " RAM id " << id;
+      EXPECT_EQ(ssd_cache.Contains(id), ssd[s].Contains(id))
+          << "server " << s << " SSD id " << id;
+    }
+  }
 }
 
 TEST_F(DfsTest, TierServeFractionsAggregateAcrossServers) {

@@ -6,6 +6,7 @@
 #include <random>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 namespace hyperprof::storage {
 namespace {
@@ -163,32 +164,49 @@ class ReferenceLru {
 TEST(LruCacheTest, MatchesReferenceModelUnderChurn) {
   // Heavy mixed workload over a small key space so hits, refreshes,
   // evictions, and erases all fire constantly; every observable must track
-  // the oracle exactly, including eviction order.
-  LruCache cache(4096);
+  // the oracle exactly, including eviction order. A second cache runs the
+  // same workload on a Reserve'd index (resized again mid-run), which
+  // must not change any observable either.
+  LruCache plain(4096);
+  LruCache reserved(4096);
+  reserved.Reserve(64);
+  const std::vector<LruCache*> caches = {&plain, &reserved};
   ReferenceLru ref(4096);
   std::mt19937_64 rng(1234);
   for (int step = 0; step < 200000; ++step) {
+    if (step == 100000) reserved.Reserve(1024);
     const uint64_t id = rng() % 512;
     switch (rng() % 4) {
-      case 0:
-        EXPECT_EQ(cache.Touch(id), ref.Touch(id));
+      case 0: {
+        const bool hit = ref.Touch(id);
+        for (LruCache* cache : caches) EXPECT_EQ(cache->Touch(id), hit);
         break;
+      }
       case 1:
       case 2: {
         const uint64_t bytes = 1 + rng() % 300;
-        EXPECT_EQ(cache.Insert(id, bytes), ref.Insert(id, bytes));
+        const bool resident = ref.Insert(id, bytes);
+        for (LruCache* cache : caches) {
+          EXPECT_EQ(cache->Insert(id, bytes), resident);
+        }
         break;
       }
-      case 3:
-        EXPECT_EQ(cache.Erase(id), ref.Erase(id));
+      case 3: {
+        const bool erased = ref.Erase(id);
+        for (LruCache* cache : caches) EXPECT_EQ(cache->Erase(id), erased);
         break;
+      }
     }
-    ASSERT_EQ(cache.used_bytes(), ref.used());
-    ASSERT_EQ(cache.entry_count(), ref.size());
-    ASSERT_EQ(cache.evictions(), ref.evictions());
+    for (const LruCache* cache : caches) {
+      ASSERT_EQ(cache->used_bytes(), ref.used());
+      ASSERT_EQ(cache->entry_count(), ref.size());
+      ASSERT_EQ(cache->evictions(), ref.evictions());
+    }
   }
-  for (uint64_t id = 0; id < 512; ++id) {
-    ASSERT_EQ(cache.Contains(id), ref.Contains(id)) << "id " << id;
+  for (const LruCache* cache : caches) {
+    for (uint64_t id = 0; id < 512; ++id) {
+      ASSERT_EQ(cache->Contains(id), ref.Contains(id)) << "id " << id;
+    }
   }
 }
 
