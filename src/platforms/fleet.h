@@ -168,10 +168,13 @@ struct FleetMemoryStats {
   uint64_t total_bytes = 0;     // kernel + tracer + profiler
   uint64_t simulated_workers = 0;  // worker hosts modeled fleet-wide
   double bytes_per_worker = 0;     // total_bytes / simulated_workers
-  // Set-up state, sized by block_space rather than by the run, so it is
-  // reported beside total_bytes rather than in it.
-  uint64_t block_table_bytes = 0;  // one Zipf block table per platform
-  uint64_t cache_bytes = 0;        // prewarmed RAM/SSD cache indexes
+  // Storage-plane state, reported beside total_bytes rather than in it.
+  // One Zipf block table per platform, sized by block_space at set-up.
+  uint64_t block_table_bytes = 0;
+  // RAM/SSD cache indexes of installed entries. The warm tail PrewarmZipf
+  // leaves has no index, so this is 0 right after set-up and grows with
+  // the blocks a run touches.
+  uint64_t cache_bytes = 0;
 };
 
 /**

@@ -1,8 +1,8 @@
 #include "storage/dfs.h"
 
 #include <algorithm>
-#include <cassert>
-#include <span>
+#include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace hyperprof::storage {
@@ -22,7 +22,14 @@ DistributedFileSystem::DistributedFileSystem(sim::Simulator* sim,
                                              net::RpcSystem* rpc,
                                              DfsParams params, Rng rng)
     : sim_(sim), rpc_(rpc), params_(params), rng_(std::move(rng)) {
-  assert(params_.num_fileservers > 0);
+  // Checked in every build type: HomeServer, and so every IO and every
+  // warm-set test, takes ids modulo this count.
+  if (params_.num_fileservers == 0) {
+    std::fprintf(stderr,
+                 "DistributedFileSystem: num_fileservers is 0; it must be "
+                 "at least 1\n");
+    std::abort();
+  }
   stores_.reserve(params_.num_fileservers);
   for (uint32_t i = 0; i < params_.num_fileservers; ++i) {
     stores_.push_back(std::make_unique<TieredStore>(params_.store));
@@ -42,29 +49,24 @@ net::NodeId DistributedFileSystem::ServerNode(uint32_t index) const {
 void DistributedFileSystem::PrewarmZipf(uint64_t ram_blocks,
                                         uint64_t ssd_blocks,
                                         uint64_t block_bytes) {
-  // Every cache belongs to one store and sees its own ids in ascending
-  // order whichever way the loop runs, so filling one store at a time
-  // leaves the same LRU state as an id-major loop while keeping a single
-  // store's caches hot. Counting-sort the ids by home server (each bucket
-  // stays ascending), then fill store by store.
-  const uint32_t servers = params_.num_fileservers;
-  std::vector<uint64_t> begin(servers + 1, 0);
-  for (uint64_t id = 0; id < ssd_blocks; ++id) ++begin[HomeServer(id) + 1];
-  for (uint32_t s = 0; s < servers; ++s) begin[s + 1] += begin[s];
-  std::vector<uint64_t> ids(ssd_blocks);
-  std::vector<uint64_t> next(begin.begin(), begin.end() - 1);
+  // Each cache holds its store's share of a range, in ascending id order;
+  // one pass counts the shares and the caches keep them as warm tails.
+  const uint64_t ram_limit = std::min(ram_blocks, ssd_blocks);
+  std::vector<uint64_t> ram_count(params_.num_fileservers, 0);
+  std::vector<uint64_t> ssd_count(params_.num_fileservers, 0);
   for (uint64_t id = 0; id < ssd_blocks; ++id) {
-    ids[next[HomeServer(id)]++] = id;
+    const uint32_t home = HomeServer(id);
+    ++ssd_count[home];
+    if (id < ram_limit) ++ram_count[home];
   }
-  for (uint32_t s = 0; s < servers; ++s) {
-    const std::span<const uint64_t> bucket(ids.data() + begin[s],
-                                           ids.data() + begin[s + 1]);
-    // The RAM share (ids below ram_blocks) is a prefix of the bucket.
-    const size_t ram_count = static_cast<size_t>(
-        std::lower_bound(bucket.begin(), bucket.end(), ram_blocks) -
-        bucket.begin());
-    stores_[s]->Prewarm(bucket, block_bytes, Tier::kSsd);
-    stores_[s]->Prewarm(bucket.first(ram_count), block_bytes, Tier::kRam);
+  for (uint32_t s = 0; s < params_.num_fileservers; ++s) {
+    // The caches live in stores_, and this DFS cannot move, so the
+    // captured `this` outlives every call.
+    const auto member = [this, s](uint64_t id) { return HomeServer(id) == s; };
+    stores_[s]->PrewarmRange(Tier::kSsd, ssd_blocks, ssd_count[s],
+                             block_bytes, member);
+    stores_[s]->PrewarmRange(Tier::kRam, ram_limit, ram_count[s], block_bytes,
+                             member);
   }
 }
 

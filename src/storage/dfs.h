@@ -98,9 +98,13 @@ class DistributedFileSystem {
 
   /**
    * Warms the caches with the hottest blocks of a Zipf-ranked block space
-   * (block id == popularity rank): ids [0, ram_blocks) go to RAM and SSD,
-   * ids [ram_blocks, ssd_blocks) to SSD only. Models the steady state a
-   * production fleet runs in rather than an all-cold start.
+   * (block id == popularity rank): ids [0, min(ram_blocks, ssd_blocks)) go
+   * to RAM and SSD, the rest of [0, ssd_blocks) to SSD only, each to its
+   * HomeServer's store, in ascending id order. Models the steady state a
+   * production fleet runs in rather than an all-cold start. The caches
+   * keep these blocks as implicit warm tails (LruCache::Prewarm), so set-up
+   * builds no index entry for them. Aborts if any cache already holds
+   * entries (a second call, or a call after traffic).
    */
   void PrewarmZipf(uint64_t ram_blocks, uint64_t ssd_blocks,
                    uint64_t block_bytes);

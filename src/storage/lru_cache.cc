@@ -1,5 +1,10 @@
 #include "storage/lru_cache.h"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <utility>
+
 namespace hyperprof::storage {
 
 namespace {
@@ -29,6 +34,15 @@ size_t LruCache::FindCell(uint64_t block_id) const {
     if (slots_[v - 1].block_id == block_id) return cell;
     cell = (cell + 1) & mask;
   }
+}
+
+bool LruCache::InWarmTail(uint64_t block_id) const {
+  // Meaningful only for an id with no index entry: an installed id has
+  // left the tail even while the cursor has not reached it.
+  return warm_left_ > 0 && block_id >= warm_next_ &&
+         block_id < warm_limit_ && warm_member_(block_id) &&
+         !std::binary_search(warm_erased_.begin(), warm_erased_.end(),
+                             block_id);
 }
 
 void LruCache::Unlink(uint32_t slot) {
@@ -85,63 +99,13 @@ void LruCache::RemoveSlot(uint32_t slot) {
   Unlink(slot);
   EraseCell(cell);
   free_slots_.push_back(slot);
-  --entry_count_;
+  --indexed_;
 }
 
-void LruCache::EvictUntilFits(uint64_t incoming_bytes) {
-  while (tail_ != kNil &&
-         used_bytes_ + incoming_bytes > capacity_bytes_) {
-    RemoveSlot(tail_);
-    ++evictions_;
-  }
-}
-
-void LruCache::Rehash(size_t cells) {
-  std::vector<uint32_t> fresh(cells, 0);
-  const size_t mask = cells - 1;
-  for (const uint32_t v : table_) {
-    if (v == 0) continue;
-    size_t at = Mix(slots_[v - 1].block_id) & mask;
-    while (fresh[at] != 0) at = (at + 1) & mask;
-    fresh[at] = v;
-  }
-  table_.swap(fresh);
-}
-
-bool LruCache::Touch(uint64_t block_id) {
-  const size_t cell = FindCell(block_id);
-  if (cell == kNpos) {
-    ++misses_;
-    return false;
-  }
-  ++hits_;
-  const uint32_t slot = table_[cell] - 1;
-  if (head_ != slot) {
-    Unlink(slot);
-    LinkFront(slot);
-  }
-  return true;
-}
-
-bool LruCache::Insert(uint64_t block_id, uint64_t bytes) {
-  if (bytes > capacity_bytes_) return false;
-  const size_t cell = FindCell(block_id);
-  if (cell != kNpos) {
-    const uint32_t slot = table_[cell] - 1;
-    used_bytes_ -= slots_[slot].bytes;
-    slots_[slot].bytes = bytes;
-    used_bytes_ += bytes;
-    if (head_ != slot) {
-      Unlink(slot);
-      LinkFront(slot);
-    }
-    EvictUntilFits(0);
-    return true;
-  }
-  EvictUntilFits(bytes);
+void LruCache::Install(uint64_t block_id, uint64_t bytes) {
   // Max load factor 1/2: cells are 4 bytes, so doubling early buys short
   // probe chains for almost nothing.
-  if ((entry_count_ + 1) * 2 > table_.size()) {
+  if ((indexed_ + 1) * 2 > table_.size()) {
     Rehash(table_.empty() ? kInitialTableCells : table_.size() * 2);
   }
   uint32_t slot;
@@ -160,32 +124,144 @@ bool LruCache::Insert(uint64_t block_id, uint64_t bytes) {
   while (table_[at] != 0) at = (at + 1) & mask;
   table_[at] = slot + 1;
   used_bytes_ += bytes;
-  ++entry_count_;
+  ++indexed_;
+}
+
+void LruCache::DropFromTail() {
+  --warm_left_;
+  used_bytes_ -= warm_bytes_;
+}
+
+void LruCache::EvictUntilFits(uint64_t incoming_bytes) {
+  while (used_bytes_ + incoming_bytes > capacity_bytes_) {
+    if (warm_left_ > 0) {
+      // The warm tail is older than every installed entry, and its oldest
+      // is its smallest id.
+      while (!InWarmTail(warm_next_) || FindCell(warm_next_) != kNpos) {
+        ++warm_next_;
+      }
+      ++warm_next_;
+      DropFromTail();
+    } else if (tail_ != kNil) {
+      RemoveSlot(tail_);
+    } else {
+      break;
+    }
+    ++evictions_;
+  }
+}
+
+void LruCache::Rehash(size_t cells) {
+  std::vector<uint32_t> fresh(cells, 0);
+  const size_t mask = cells - 1;
+  for (const uint32_t v : table_) {
+    if (v == 0) continue;
+    size_t at = Mix(slots_[v - 1].block_id) & mask;
+    while (fresh[at] != 0) at = (at + 1) & mask;
+    fresh[at] = v;
+  }
+  table_.swap(fresh);
+}
+
+bool LruCache::Touch(uint64_t block_id) {
+  const size_t cell = FindCell(block_id);
+  if (cell != kNpos) {
+    ++hits_;
+    const uint32_t slot = table_[cell] - 1;
+    if (head_ != slot) {
+      Unlink(slot);
+      LinkFront(slot);
+    }
+    return true;
+  }
+  if (InWarmTail(block_id)) {
+    // A warm entry's first hit installs it at MRU, where the hit moves it.
+    ++hits_;
+    DropFromTail();
+    Install(block_id, warm_bytes_);
+    return true;
+  }
+  ++misses_;
+  return false;
+}
+
+bool LruCache::Insert(uint64_t block_id, uint64_t bytes) {
+  if (bytes > capacity_bytes_) return false;
+  const size_t cell = FindCell(block_id);
+  if (cell != kNpos) {
+    const uint32_t slot = table_[cell] - 1;
+    used_bytes_ -= slots_[slot].bytes;
+    slots_[slot].bytes = bytes;
+    used_bytes_ += bytes;
+    if (head_ != slot) {
+      Unlink(slot);
+      LinkFront(slot);
+    }
+    EvictUntilFits(0);
+    return true;
+  }
+  if (InWarmTail(block_id)) {
+    // Refreshing a warm entry installs it at MRU with its new size.
+    DropFromTail();
+    Install(block_id, bytes);
+    EvictUntilFits(0);
+    return true;
+  }
+  EvictUntilFits(bytes);
+  Install(block_id, bytes);
   return true;
 }
 
 bool LruCache::Erase(uint64_t block_id) {
   const size_t cell = FindCell(block_id);
-  if (cell == kNpos) return false;
-  RemoveSlot(table_[cell] - 1);
+  if (cell != kNpos) {
+    RemoveSlot(table_[cell] - 1);
+  } else if (InWarmTail(block_id)) {
+    DropFromTail();
+  } else {
+    return false;
+  }
+  // The cursor has not passed this id, so without a record it would read
+  // as a tail entry again.
+  if (InWarmTail(block_id)) {
+    warm_erased_.insert(std::upper_bound(warm_erased_.begin(),
+                                         warm_erased_.end(), block_id),
+                        block_id);
+  }
   return true;
 }
 
 bool LruCache::Contains(uint64_t block_id) const {
-  return FindCell(block_id) != kNpos;
+  return FindCell(block_id) != kNpos || InWarmTail(block_id);
 }
 
-void LruCache::Reserve(size_t entries) {
-  // The same power of two that Insert's doublings would reach.
-  size_t cells = kInitialTableCells;
-  while (cells < 2 * entries) cells *= 2;
-  if (cells > table_.size()) Rehash(cells);
+void LruCache::Prewarm(uint64_t limit, uint64_t count, uint64_t bytes,
+                       WarmFilter member) {
+  if (entry_count() != 0) {
+    std::fprintf(stderr,
+                 "LruCache::Prewarm: the cache already holds %zu entries; "
+                 "a warm tail is exact only for an empty cache\n",
+                 entry_count());
+    std::abort();
+  }
+  // Insert admits no block larger than the cache and evicts nothing for it.
+  if (count == 0 || bytes > capacity_bytes_) return;
+  warm_member_ = std::move(member);
+  warm_next_ = 0;
+  warm_limit_ = limit;
+  warm_bytes_ = bytes;
+  warm_left_ = count;
+  warm_erased_.clear();
+  used_bytes_ = count * bytes;
+  // Ascending inserts evict their smallest ids until the rest fit.
+  EvictUntilFits(0);
 }
 
 size_t LruCache::memory_bytes() const {
   return table_.capacity() * sizeof(uint32_t) +
          slots_.capacity() * sizeof(Slot) +
-         free_slots_.capacity() * sizeof(uint32_t);
+         free_slots_.capacity() * sizeof(uint32_t) +
+         warm_erased_.capacity() * sizeof(uint64_t);
 }
 
 double LruCache::HitRate() const {

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace hyperprof::storage {
@@ -15,12 +16,19 @@ namespace hyperprof::storage {
  * cache and the SSD flash cache of the tiered store.
  *
  * Storage is a linear-probing open-addressing table over recycled slots
- * with an intrusive doubly-linked LRU list threaded through slot indices:
- * a warmed cache performs Touch/Insert/Erase with no heap allocation
- * (evicted slots return to a free list; the table only ever grows).
+ * with an intrusive doubly-linked LRU list threaded through slot indices.
+ * Evicted slots return to a free list, and the table and slot array grow
+ * by amortized doubling, so Touch and Insert allocate only when the
+ * installed entries reach a new high. A cache started warm (Prewarm)
+ * keeps its untouched warm entries as an implicit LRU tail with no index
+ * entries: a warm entry's first Touch or Insert installs it, so the index
+ * grows with what a run touches rather than with the warm set.
  */
 class LruCache {
  public:
+  /** Warm-set membership test; see Prewarm. */
+  using WarmFilter = std::function<bool(uint64_t block_id)>;
+
   /** @param capacity_bytes Total bytes the cache may hold (>= 0). */
   explicit LruCache(uint64_t capacity_bytes);
 
@@ -44,19 +52,26 @@ class LruCache {
   bool Contains(uint64_t block_id) const;
 
   /**
-   * Sizes the index so `entries` resident blocks fit without a rehash.
-   * Only the index: the slot array keeps its amortized growth, whose
-   * headroom absorbs a warmed cache's first new blocks (a slot array
-   * reserved exactly would reallocate on the first of them).
+   * Starts an empty cache warm: every observable (Touch/Insert/Erase
+   * results, Contains, used_bytes, entry_count, hits, misses, evictions)
+   * then follows the cache that Insert(id, bytes) of each id below `limit`
+   * that `member` accepts, in ascending order, would have left — `count`
+   * ids, which the caller has counted. No index entry is built: untouched
+   * warm entries stay the LRU tail, smallest id oldest, until a Touch or
+   * Insert installs one at MRU or eviction consumes it. `member` is called
+   * with ids below `limit` and must stay valid while the tail lasts.
+   * Aborts if the cache holds entries: the tail is exact only behind an
+   * empty LRU list.
    */
-  void Reserve(size_t entries);
+  void Prewarm(uint64_t limit, uint64_t count, uint64_t bytes,
+               WarmFilter member);
 
   /** Bytes reserved by the index, the slot array and the free list. */
   size_t memory_bytes() const;
 
   uint64_t used_bytes() const { return used_bytes_; }
   uint64_t capacity_bytes() const { return capacity_bytes_; }
-  size_t entry_count() const { return entry_count_; }
+  size_t entry_count() const { return indexed_ + warm_left_; }
 
   uint64_t hits() const { return hits_; }
   uint64_t misses() const { return misses_; }
@@ -77,16 +92,19 @@ class LruCache {
 
   static uint64_t Mix(uint64_t x);
   size_t FindCell(uint64_t block_id) const;
+  bool InWarmTail(uint64_t block_id) const;
   void Unlink(uint32_t slot);
   void LinkFront(uint32_t slot);
   void EraseCell(size_t cell);
   void RemoveSlot(uint32_t slot);
+  void Install(uint64_t block_id, uint64_t bytes);
+  void DropFromTail();
   void EvictUntilFits(uint64_t incoming_bytes);
   void Rehash(size_t cells);
 
   uint64_t capacity_bytes_;
-  uint64_t used_bytes_ = 0;
-  size_t entry_count_ = 0;
+  uint64_t used_bytes_ = 0;  // installed entries and the warm tail
+  size_t indexed_ = 0;       // installed entries
   std::vector<uint32_t> table_;  // cell holds slot index + 1; 0 = empty
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
@@ -95,6 +113,17 @@ class LruCache {
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
+
+  // The implicit warm tail, older than every installed entry: the ids in
+  // [warm_next_, warm_limit_) that warm_member_ accepts, minus installed
+  // ones and warm_erased_ (sorted; ids erased before the cursor passed
+  // them), warm_bytes_ each. warm_left_ counts them; 0 means no tail.
+  WarmFilter warm_member_;
+  uint64_t warm_next_ = 0;  // eviction cursor: no tail id lies below it
+  uint64_t warm_limit_ = 0;
+  uint64_t warm_bytes_ = 0;
+  size_t warm_left_ = 0;
+  std::vector<uint64_t> warm_erased_;
 };
 
 }  // namespace hyperprof::storage

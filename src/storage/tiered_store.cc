@@ -1,6 +1,6 @@
 #include "storage/tiered_store.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace hyperprof::storage {
 
@@ -60,15 +60,16 @@ AccessResult TieredStore::Write(uint64_t block_id, uint64_t bytes, Rng& rng) {
   return result;
 }
 
-void TieredStore::Prewarm(std::span<const uint64_t> block_ids, uint64_t bytes,
-                          Tier tier) {
+void TieredStore::Prewarm(uint64_t block_id, uint64_t bytes, Tier tier) {
   if (tier == Tier::kHdd) return;
-  LruCache& cache = tier == Tier::kRam ? ram_ : ssd_;
-  // No more than capacity / bytes of the batch can stay resident.
-  const uint64_t fit = cache.capacity_bytes() / std::max<uint64_t>(bytes, 1);
-  cache.Reserve(cache.entry_count() +
-                std::min<uint64_t>(block_ids.size(), fit));
-  for (const uint64_t id : block_ids) cache.Insert(id, bytes);
+  (tier == Tier::kRam ? ram_ : ssd_).Insert(block_id, bytes);
+}
+
+void TieredStore::PrewarmRange(Tier tier, uint64_t limit, uint64_t count,
+                               uint64_t bytes, LruCache::WarmFilter member) {
+  if (tier == Tier::kHdd) return;
+  (tier == Tier::kRam ? ram_ : ssd_)
+      .Prewarm(limit, count, bytes, std::move(member));
 }
 
 double TieredStore::TierServeFraction(Tier tier) const {

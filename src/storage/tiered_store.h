@@ -2,7 +2,6 @@
 #define HYPERPROF_STORAGE_TIERED_STORE_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 
 #include "common/rng.h"
@@ -66,17 +65,20 @@ class TieredStore {
   AccessResult Write(uint64_t block_id, uint64_t bytes, Rng& rng);
 
   /**
-   * Installs blocks, in order, into the given cache tier without timing or
-   * stats — used to start simulations from a warm steady state instead of
-   * an all-cold fleet. The cache index is sized for the batch up front.
+   * Installs a block into the given cache tier without timing or stats.
    * No-op for Tier::kHdd (HDD holds everything).
    */
-  void Prewarm(std::span<const uint64_t> block_ids, uint64_t bytes, Tier tier);
+  void Prewarm(uint64_t block_id, uint64_t bytes, Tier tier);
 
-  /** Installs one block; see the batch overload. */
-  void Prewarm(uint64_t block_id, uint64_t bytes, Tier tier) {
-    Prewarm({&block_id, 1}, bytes, tier);
-  }
+  /**
+   * Starts an empty cache tier warm with the `count` ids below `limit`
+   * that `member` accepts, as if each had been Prewarm'ed in ascending
+   * order, without building their index entries (LruCache::Prewarm) —
+   * used to start simulations from a warm steady state instead of an
+   * all-cold fleet. No-op for Tier::kHdd.
+   */
+  void PrewarmRange(Tier tier, uint64_t limit, uint64_t count, uint64_t bytes,
+                    LruCache::WarmFilter member);
 
   /** Fraction of reads served by each tier (RAM, SSD, HDD). */
   double TierServeFraction(Tier tier) const;
@@ -92,7 +94,7 @@ class TieredStore {
   const LruCache& ram_cache() const { return ram_; }
   const LruCache& ssd_cache() const { return ssd_; }
 
-  /** Bytes reserved by both cache indexes. */
+  /** Bytes reserved by both cache indexes (installed entries only). */
   size_t memory_bytes() const {
     return ram_.memory_bytes() + ssd_.memory_bytes();
   }

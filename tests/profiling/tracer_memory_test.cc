@@ -1,6 +1,7 @@
 // Steady-state allocation tests for the trace pipeline. This binary
-// replaces the global allocator with a counting shim; it must stay its own
-// test executable so the override can't leak into other suites.
+// replaces the global allocator with the counting shim in
+// testing/counting_new.h; it must stay its own test executable so the
+// override can't leak into other suites.
 //
 // The property under test: once a reservoir-mode Tracer has warmed up on a
 // workload shape (slot table grown, span vectors at capacity, breakdown
@@ -16,20 +17,7 @@
 #include "profiling/aggregate.h"
 #include "profiling/continuous.h"
 
-namespace {
-std::atomic<uint64_t> g_allocation_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+#include "testing/counting_new.h"
 
 namespace hyperprof::profiling {
 namespace {

@@ -4,9 +4,10 @@
 // recv, frame decode, batch admission, virtual-time completion, response
 // serialization, sendmsg flush — must perform ZERO heap allocations.
 //
-// This binary replaces the global allocator with a counting shim (the
-// tracer_memory_test / shard_group_test pattern); it must stay its own
-// test executable so the override can't leak into other suites.
+// This binary replaces the global allocator with the counting shim in
+// testing/counting_new.h; it must stay its own test executable so the
+// override can't leak into other suites. HYPERPROF_TRAP_ALLOC=1 dumps a
+// backtrace of each allocation inside the measured window.
 //
 // The platform spec is crafted so the *engine* is also allocation-free in
 // steady state: a single compute phase whose mean is far below the
@@ -16,38 +17,6 @@
 // storage). The daemon side needs no such staging — its zero-alloc
 // guarantee is unconditional and separately accounted by serve_allocs().
 
-#include <execinfo.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
-namespace {
-std::atomic<uint64_t> g_allocation_count{0};
-// Debug aid: set HYPERPROF_TRAP_ALLOC=1 and arm inside a measured window
-// to dump a backtrace of each offending allocation site.
-std::atomic<bool> g_trap_on_alloc{false};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (g_trap_on_alloc.load(std::memory_order_relaxed)) {
-    g_trap_on_alloc.store(false, std::memory_order_relaxed);
-    void* frames[32];
-    const int depth = backtrace(frames, 32);
-    backtrace_symbols_fd(frames, depth, STDERR_FILENO);
-    g_trap_on_alloc.store(true, std::memory_order_relaxed);
-  }
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
-
 #include <errno.h>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -55,6 +24,7 @@ void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -63,6 +33,7 @@ void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 #include "serve/frame.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "testing/counting_new.h"
 
 namespace hyperprof::serve {
 namespace {

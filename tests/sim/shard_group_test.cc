@@ -2,9 +2,9 @@
 // envelopes, the late-delivery tripwire, and the zero-steady-state-
 // allocation guarantee of the exchange path.
 //
-// This binary replaces the global allocator with a counting shim (the
-// tracer_memory_test pattern); it must stay its own test executable so
-// the override can't leak into other suites.
+// This binary replaces the global allocator with the counting shim in
+// testing/counting_new.h; it must stay its own test executable so the
+// override can't leak into other suites.
 #include <array>
 #include <atomic>
 #include <cstdlib>
@@ -18,20 +18,7 @@
 #include "sim/shard_group.h"
 #include "sim/simulator.h"
 
-namespace {
-std::atomic<uint64_t> g_allocation_count{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocation_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* ptr = std::malloc(size ? size : 1)) return ptr;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
+#include "testing/counting_new.h"
 
 namespace hyperprof::sim {
 namespace {

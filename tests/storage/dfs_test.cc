@@ -174,6 +174,32 @@ TEST_F(DfsTest, PrewarmThatEvictsMatchesIdMajorReference) {
   }
 }
 
+// The warm tails PrewarmZipf leaves are exact only behind empty caches,
+// and every IO takes block ids modulo the fileserver count: both hold in
+// every build type.
+using DfsDeathTest = DfsTest;
+
+TEST_F(DfsDeathTest, SecondPrewarmZipfAborts) {
+  DistributedFileSystem dfs(&simulator_, &rpc_, SmallParams(), Rng(3));
+  dfs.PrewarmZipf(10, 50, 4096);
+  EXPECT_DEATH(dfs.PrewarmZipf(10, 50, 4096), "already holds");
+}
+
+TEST_F(DfsDeathTest, PrewarmZipfAfterTrafficAborts) {
+  DistributedFileSystem dfs(&simulator_, &rpc_, SmallParams(), Rng(3));
+  dfs.Read(client_, 7, 4096, [](const IoResult&) {});
+  simulator_.Run();
+  EXPECT_DEATH(dfs.PrewarmZipf(10, 50, 4096), "already holds");
+}
+
+TEST_F(DfsDeathTest, ZeroFileserversAborts) {
+  DfsParams params = SmallParams();
+  params.num_fileservers = 0;
+  EXPECT_DEATH(
+      { DistributedFileSystem dfs(&simulator_, &rpc_, params, Rng(3)); },
+      "num_fileservers is 0");
+}
+
 TEST_F(DfsTest, TierServeFractionsAggregateAcrossServers) {
   DistributedFileSystem dfs(&simulator_, &rpc_, SmallParams(), Rng(3));
   dfs.PrewarmZipf(100, 100, 4096);

@@ -97,6 +97,8 @@ TEST(LruCacheTest, ZeroCapacityAdmitsNothing) {
 
 namespace {
 
+constexpr uint64_t kKeys = 512;
+
 // Straightforward list+map LRU with the documented semantics, used as the
 // oracle for the open-addressing implementation.
 class ReferenceLru {
@@ -107,6 +109,7 @@ class ReferenceLru {
     auto it = map_.find(id);
     if (it == map_.end()) return false;
     lru_.splice(lru_.begin(), lru_, it->second);
+    ++hits_;
     return true;
   }
 
@@ -141,6 +144,7 @@ class ReferenceLru {
   uint64_t used() const { return used_; }
   size_t size() const { return map_.size(); }
   uint64_t evictions() const { return evictions_; }
+  uint64_t hits() const { return hits_; }
 
  private:
   void Evict(uint64_t incoming) {
@@ -157,55 +161,140 @@ class ReferenceLru {
   std::list<std::pair<uint64_t, uint64_t>> lru_;
   std::unordered_map<uint64_t, decltype(lru_)::iterator> map_;
   uint64_t evictions_ = 0;
+  uint64_t hits_ = 0;
 };
+
+::testing::AssertionResult SameCounters(const LruCache& cache,
+                                        const ReferenceLru& ref) {
+  if (cache.used_bytes() == ref.used() && cache.entry_count() == ref.size() &&
+      cache.evictions() == ref.evictions() && cache.hits() == ref.hits()) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "used " << cache.used_bytes() << " vs " << ref.used()
+         << ", entries " << cache.entry_count() << " vs " << ref.size()
+         << ", evictions " << cache.evictions() << " vs " << ref.evictions()
+         << ", hits " << cache.hits() << " vs " << ref.hits();
+}
+
+// One random Touch, Insert or Erase over [0, kKeys) on both models: the
+// results and every counter must agree. Marks the id in `seen`.
+::testing::AssertionResult ChurnStep(std::mt19937_64& rng, LruCache& cache,
+                                     ReferenceLru& ref,
+                                     std::vector<bool>& seen) {
+  const uint64_t id = rng() % kKeys;
+  seen[id] = true;
+  bool got = false, want = false;
+  switch (rng() % 4) {
+    case 0:
+      got = cache.Touch(id);
+      want = ref.Touch(id);
+      break;
+    case 1:
+    case 2: {
+      const uint64_t bytes = 1 + rng() % 300;
+      got = cache.Insert(id, bytes);
+      want = ref.Insert(id, bytes);
+      break;
+    }
+    case 3:
+      got = cache.Erase(id);
+      want = ref.Erase(id);
+      break;
+  }
+  if (got != want) {
+    return ::testing::AssertionFailure() << "id " << id << " returned " << got;
+  }
+  return SameCounters(cache, ref);
+}
+
+// Home server of an id for the warm-set filter, over kServers servers.
+constexpr uint32_t kServers = 3;
+uint32_t Home(uint64_t id) {
+  return static_cast<uint32_t>((id * 0x9e3779b97f4a7c15ull >> 32) % kServers);
+}
 
 }  // namespace
 
 TEST(LruCacheTest, MatchesReferenceModelUnderChurn) {
   // Heavy mixed workload over a small key space so hits, refreshes,
   // evictions, and erases all fire constantly; every observable must track
-  // the oracle exactly, including eviction order. A second cache runs the
-  // same workload on a Reserve'd index (resized again mid-run), which
-  // must not change any observable either.
-  LruCache plain(4096);
-  LruCache reserved(4096);
-  reserved.Reserve(64);
-  const std::vector<LruCache*> caches = {&plain, &reserved};
-  ReferenceLru ref(4096);
+  // the oracle exactly, including eviction order.
   std::mt19937_64 rng(1234);
-  for (int step = 0; step < 200000; ++step) {
-    if (step == 100000) reserved.Reserve(1024);
-    const uint64_t id = rng() % 512;
-    switch (rng() % 4) {
-      case 0: {
-        const bool hit = ref.Touch(id);
-        for (LruCache* cache : caches) EXPECT_EQ(cache->Touch(id), hit);
-        break;
-      }
-      case 1:
-      case 2: {
-        const uint64_t bytes = 1 + rng() % 300;
-        const bool resident = ref.Insert(id, bytes);
-        for (LruCache* cache : caches) {
-          EXPECT_EQ(cache->Insert(id, bytes), resident);
-        }
-        break;
-      }
-      case 3: {
-        const bool erased = ref.Erase(id);
-        for (LruCache* cache : caches) EXPECT_EQ(cache->Erase(id), erased);
-        break;
-      }
+  std::vector<bool> seen(kKeys);
+  {
+    LruCache cache(4096);
+    ReferenceLru ref(4096);
+    for (int step = 0; step < 200000; ++step) {
+      ASSERT_TRUE(ChurnStep(rng, cache, ref, seen)) << "step " << step;
     }
-    for (const LruCache* cache : caches) {
-      ASSERT_EQ(cache->used_bytes(), ref.used());
-      ASSERT_EQ(cache->entry_count(), ref.size());
-      ASSERT_EQ(cache->evictions(), ref.evictions());
+    for (uint64_t id = 0; id < kKeys; ++id) {
+      ASSERT_EQ(cache.Contains(id), ref.Contains(id)) << "id " << id;
     }
   }
-  for (const LruCache* cache : caches) {
-    for (uint64_t id = 0; id < 512; ++id) {
-      ASSERT_EQ(cache->Contains(id), ref.Contains(id)) << "id " << id;
+
+  // Lazily warmed caches against references warmed by ascending Inserts:
+  // each server's cache holds the ids below kWarmLimit homed on it. The
+  // capacities make the tail overflow at prewarm, let churn consume it
+  // mid-run, and evict nothing at all.
+  constexpr uint64_t kWarmLimit = 384, kWarmBytes = 64;
+  enum Shape { kOverflows, kConsumed, kNoEvictions };
+  const std::pair<Shape, uint64_t> shapes[] = {
+      {kOverflows, 4096}, {kConsumed, 12000}, {kNoEvictions, 1 << 20}};
+  for (const auto& [shape, capacity] : shapes) {
+    for (uint32_t server = 0; server < kServers; ++server) {
+      SCOPED_TRACE(::testing::Message()
+                   << "capacity " << capacity << " server " << server);
+      const auto member = [server](uint64_t id) {
+        return Home(id) == server;
+      };
+      LruCache cache(capacity);
+      ReferenceLru ref(capacity);
+      std::vector<uint64_t> members;
+      for (uint64_t id = 0; id < kWarmLimit; ++id) {
+        if (!member(id)) continue;
+        members.push_back(id);
+        ref.Insert(id, kWarmBytes);
+      }
+      cache.Prewarm(kWarmLimit, members.size(), kWarmBytes, member);
+      ASSERT_TRUE(SameCounters(cache, ref));
+      EXPECT_EQ(ref.evictions() > 0, shape == kOverflows);
+
+      // The largest members survive any overflow, so the cursor has not
+      // passed them: erase one untouched, and one after a Touch installs
+      // it. Neither may read as resident again.
+      const uint64_t untouched = members.back();
+      const uint64_t installed = members[members.size() - 2];
+      ASSERT_TRUE(ref.Contains(installed));
+      EXPECT_EQ(cache.Erase(untouched), ref.Erase(untouched));
+      EXPECT_EQ(cache.Touch(installed), ref.Touch(installed));
+      EXPECT_EQ(cache.Erase(installed), ref.Erase(installed));
+      for (const uint64_t id : {untouched, installed}) {
+        EXPECT_FALSE(ref.Contains(id));
+        EXPECT_FALSE(cache.Contains(id)) << "id " << id;
+        EXPECT_EQ(cache.Touch(id), ref.Touch(id)) << "id " << id;
+      }
+      ASSERT_TRUE(SameCounters(cache, ref));
+
+      seen.assign(kKeys, false);
+      for (int step = 0; step < 40000; ++step) {
+        ASSERT_TRUE(ChurnStep(rng, cache, ref, seen)) << "step " << step;
+        if (step == 1000 && shape == kConsumed) {
+          // By now eviction has consumed the tail: no member the churn
+          // has not reached is still resident.
+          int unseen = 0;
+          for (const uint64_t id : members) {
+            if (seen[id]) continue;
+            ++unseen;
+            EXPECT_FALSE(ref.Contains(id)) << "id " << id;
+          }
+          EXPECT_GT(unseen, 0);
+        }
+      }
+      for (uint64_t id = 0; id < kKeys; ++id) {
+        ASSERT_EQ(cache.Contains(id), ref.Contains(id)) << "id " << id;
+      }
+      EXPECT_EQ(ref.evictions() == 0, shape == kNoEvictions);
     }
   }
 }
