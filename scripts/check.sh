@@ -44,7 +44,10 @@
 #                               # .bench_build/) and runs each of its
 #                               # three workloads for 2 s; fails if any
 #                               # run exits nonzero, so an API change that
-#                               # breaks the benchmark fails here too
+#                               # breaks the benchmark fails here too, or
+#                               # if a seed-1 fleet digest differs from its
+#                               # pin (scripts/perfbench_smoke.sh, shared
+#                               # with CI)
 #   BENCH=1 scripts/check.sh    # additionally smoke-runs the kernel
 #                               # microbenchmarks (short min-time) and the
 #                               # fleet sharding scaling bench so the
@@ -167,12 +170,7 @@ if [[ "${BENCH:-0}" != "0" ]]; then
 fi
 
 if [[ "${PERFBENCH:-0}" != "0" ]]; then
-  # Repository benchmark smoke: perfbench/ is a separate CMake package
-  # that root ctest never compiles. run.py builds it and checks each
-  # run's outputs (digests, accounting, metric names); any failure exits
-  # nonzero.
-  for workload in fleet_fused fleet_sharded serve_spanner; do
-    python3 perfbench/run.py --workload "$workload" --seed 1 --seconds 2 \
-      --trace 0
-  done
+  # Repository benchmark smoke with pinned seed-1 fleet digests (the loop
+  # lives in scripts/perfbench_smoke.sh, shared with CI).
+  scripts/perfbench_smoke.sh
 fi

@@ -1,11 +1,14 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <numbers>
 #include <utility>
+
+#include "common/thread_pool.h"
 
 namespace hyperprof {
 
@@ -180,16 +183,31 @@ size_t AliasSampler::memory_bytes() const {
 
 namespace {
 
-std::vector<double> ZipfWeights(size_t n, double s) {
+std::vector<double> ZipfWeights(size_t n, double s, size_t threads) {
   std::vector<double> w(n == 0 ? 1 : n);
-  for (size_t i = 0; i < w.size(); ++i) {
-    w[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
+  const size_t chunk = ZipfSampler::kFillChunk;
+  const size_t chunks = (w.size() + chunk - 1) / chunk;
+  auto fill = [&w, s, chunk](size_t c) {
+    const size_t end = std::min(w.size(), (c + 1) * chunk);
+    for (size_t i = c * chunk; i < end; ++i) {
+      w[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
+    }
+  };
+  threads = std::min(threads, chunks);
+  if (threads <= 1) {
+    for (size_t c = 0; c < chunks; ++c) fill(c);
+  } else {
+    // ParallelFor's caller runs jobs too, so threads - 1 workers spend
+    // exactly the budget.
+    ThreadPool pool(threads - 1);
+    pool.ParallelFor(chunks, fill);
   }
   return w;
 }
 
 }  // namespace
 
-ZipfSampler::ZipfSampler(size_t n, double s) : sampler_(ZipfWeights(n, s)) {}
+ZipfSampler::ZipfSampler(size_t n, double s, size_t threads)
+    : sampler_(ZipfWeights(n, s, threads)) {}
 
 }  // namespace hyperprof

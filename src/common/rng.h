@@ -111,14 +111,27 @@ class AliasSampler {
  * Key popularity in production KV stores is Zipf-like; this drives the
  * cache-hit behaviour of the storage substrate. Implemented via an alias
  * table over the rank probabilities, so draws are O(1).
+ *
+ * `threads` is a host-thread budget for the build: the rank weights
+ * 1 / (i + 1)^s are computed in kFillChunk-sized chunks on up to that
+ * many threads (the calling thread included). Every weight is the same
+ * double whichever thread computes it, and the AliasSampler pass over
+ * them stays serial and in index order, so the table is bit-identical
+ * at every thread count. A table of at most one chunk starts no thread.
  */
 class ZipfSampler {
  public:
-  ZipfSampler(size_t n, double s);
+  /** Weights per fill job. */
+  static constexpr size_t kFillChunk = size_t{1} << 14;
+
+  ZipfSampler(size_t n, double s, size_t threads = 1);
 
   size_t Sample(Rng& rng) const { return sampler_.Sample(rng); }
   size_t size() const { return sampler_.size(); }
   size_t memory_bytes() const { return sampler_.memory_bytes(); }
+
+  /** Normalized probability of rank i, in O(n) (for inspection/tests). */
+  double Probability(size_t i) const { return sampler_.Probability(i); }
 
  private:
   AliasSampler sampler_;

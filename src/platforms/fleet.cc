@@ -299,8 +299,9 @@ void FleetSimulation::BuildStoragePlane(PlatformSlot& slot,
       storage::MinKeysForMass(slot.spec.ram_ssd_hit_target,
                               slot.spec.block_space, slot.spec.block_zipf_s);
   slot.dfs->PrewarmZipf(ram_blocks, ssd_blocks, slot.spec.typical_block_bytes);
-  slot.block_sampler = std::make_unique<ZipfSampler>(slot.spec.block_space,
-                                                     slot.spec.block_zipf_s);
+  slot.block_sampler = std::make_unique<ZipfSampler>(
+      slot.spec.block_space, slot.spec.block_zipf_s,
+      ThreadPool::ResolveParallelism(config_.parallelism));
 }
 
 std::unique_ptr<net::FaultModel> FleetSimulation::InstallFaults(

@@ -36,8 +36,10 @@ struct FleetConfig {
   double cpu_hz = 3.0e9;
   uint64_t seed = 42;
   // Host threads used by RunAll: 0 = one per hardware thread, 1 = the
-  // serial path, N = at most N platforms simulate concurrently. Every
-  // setting produces bit-identical results (see DESIGN.md).
+  // serial path, N = at most N platforms simulate concurrently. Set-up
+  // spends the same budget: AddPlatform fills each Zipf block table's
+  // weights on that many threads. Every setting produces bit-identical
+  // results (see DESIGN.md).
   uint32_t parallelism = 0;
   // --- Intra-platform sharding -------------------------------------------
   // 0 (the default) is the legacy fused platform: one event kernel runs

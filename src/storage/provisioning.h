@@ -9,21 +9,24 @@ namespace hyperprof::storage {
 /**
  * Generalized harmonic number H(k, s) = sum_{i=1..k} i^-s.
  *
- * Exact summation below one million terms; exact head plus integral tail
- * above (relative error < 1e-6 for the skews used here). This is the
+ * Exact summation up to ten thousand terms; exact head plus integral
+ * tail above (relative error < 1e-6 for the skews used here). This is the
  * popularity mass function of a Zipf(s) distribution.
  */
 double GeneralizedHarmonic(uint64_t k, double s);
 
 /**
  * Fraction of accesses that hit the hottest `k` of `n` Zipf(s) keys.
+ * Aborts with a message when n is 0, in every build type.
  */
 double ZipfMassFraction(uint64_t k, uint64_t n, double s);
 
 /**
  * Smallest key count whose cumulative Zipf mass reaches `target_mass`.
- * Binary search over ZipfMassFraction; returns n when the target is
- * unreachable.
+ * Binary search over the same doubles ZipfMassFraction computes, with the
+ * exact head's prefix sums and H(n) computed once per call; returns n
+ * when the target is unreachable. Aborts with a message when n is 0, in
+ * every build type.
  */
 uint64_t MinKeysForMass(double target_mass, uint64_t n, double s);
 

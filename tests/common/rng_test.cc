@@ -204,8 +204,34 @@ TEST(AliasSamplerDeathTest, RejectsNanWeight) {
 }
 
 TEST(ZipfSamplerTest, DrawDigestIsPinned) {
-  ZipfSampler zipf(1 << 16, 0.85);
-  EXPECT_EQ(DrawDigest(zipf, 67, 100000), 0x25e3423ee6ddde88ULL);
+  for (size_t threads : {1, 4}) {
+    ZipfSampler zipf(1 << 16, 0.85, threads);
+    EXPECT_EQ(DrawDigest(zipf, 67, 100000), 0x25e3423ee6ddde88ULL)
+        << threads << " threads";
+  }
+}
+
+TEST(ZipfSamplerTest, TableIsBitIdenticalAtEveryThreadCount) {
+  // Several full fill chunks and a partial last one.
+  const size_t chunk = ZipfSampler::kFillChunk;
+  const size_t n = (size_t{1} << 17) + 3;
+  ASSERT_GT(n % chunk, 0u);
+  std::vector<size_t> probes = {0, n - 1};
+  for (size_t boundary = chunk; boundary < n; boundary += chunk) {
+    probes.push_back(boundary - 1);
+    probes.push_back(boundary);
+  }
+  const ZipfSampler serial(n, 0.9, 1);
+  const uint64_t digest = DrawDigest(serial, 79, 1000000);
+  for (size_t threads : {2, 3, 4}) {
+    const ZipfSampler threaded(n, 0.9, threads);
+    EXPECT_EQ(DrawDigest(threaded, 79, 1000000), digest)
+        << threads << " threads";
+    for (size_t i : probes) {
+      EXPECT_EQ(threaded.Probability(i), serial.Probability(i))
+          << "rank " << i << " at " << threads << " threads";
+    }
+  }
 }
 
 TEST(ZipfSamplerTest, RankOneIsMostPopular) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "platforms/fleet.h"
 #include "platforms/platforms.h"
 
 namespace hyperprof::storage {
@@ -70,6 +71,65 @@ TEST(MinKeysForMassTest, InvertsZipfMass) {
 TEST(MinKeysForMassTest, Extremes) {
   EXPECT_EQ(MinKeysForMass(0.0, 100, 0.9), 0u);
   EXPECT_EQ(MinKeysForMass(1.0, 100, 0.9), 100u);
+}
+
+// The reference search: bisection over the public ZipfMassFraction, which
+// recomputes H(mid) and H(n) at every step.
+uint64_t BisectZipfMassFraction(double target_mass, uint64_t n, double s) {
+  if (target_mass <= 0) return 0;
+  if (target_mass >= 1.0) return n;
+  uint64_t lo = 1, hi = n;
+  while (lo < hi) {
+    uint64_t mid = lo + (hi - lo) / 2;
+    if (ZipfMassFraction(mid, n, s) >= target_mass) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+TEST(MinKeysForMassTest, MatchesBisectionOverZipfMassFraction) {
+  // Key spaces below, at and just above the 10,000-term exact head; s = 1
+  // takes the log tail.
+  for (uint64_t n : {1ULL, 37ULL, 9999ULL, 10000ULL, 10001ULL, 123457ULL}) {
+    for (double s : {0.6, 0.85, 0.95, 1.0, 1.2}) {
+      for (double target : {0.01, 0.2, 0.5, 0.8, 0.95, 0.999}) {
+        EXPECT_EQ(MinKeysForMass(target, n, s),
+                  BisectZipfMassFraction(target, n, s))
+            << "n " << n << " s " << s << " target " << target;
+      }
+    }
+  }
+  for (const platforms::PlatformSpec& spec :
+       {platforms::SpannerSpec(), platforms::BigTableSpec(),
+        platforms::BigQuerySpec()}) {
+    for (double target : {spec.ram_hit_target, spec.ram_ssd_hit_target}) {
+      EXPECT_EQ(MinKeysForMass(target, spec.block_space, spec.block_zipf_s),
+                BisectZipfMassFraction(target, spec.block_space,
+                                       spec.block_zipf_s))
+          << spec.name << " target " << target;
+    }
+  }
+}
+
+TEST(MinKeysForMassDeathTest, RejectsEmptyKeySpace) {
+  EXPECT_DEATH(MinKeysForMass(0.5, 0, 0.9),
+               "MinKeysForMass: the key space is empty");
+  EXPECT_DEATH(ZipfMassFraction(1, 0, 0.9),
+               "ZipfMassFraction: the key space is empty");
+}
+
+TEST(MinKeysForMassDeathTest, AddPlatformRejectsEmptyBlockSpace) {
+  platforms::PlatformSpec spec = platforms::SpannerSpec();
+  spec.block_space = 0;
+  EXPECT_DEATH(
+      {
+        platforms::FleetSimulation fleet(platforms::FleetConfig{});
+        fleet.AddPlatform(spec);
+      },
+      "MinKeysForMass: the key space is empty");
 }
 
 TEST(ProvisionTest, HigherHitTargetNeedsMoreRam) {
