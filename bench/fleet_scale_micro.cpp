@@ -145,8 +145,9 @@ SweepPoint RunSweepPoint(uint64_t queries, uint32_t shards, int repeats,
 
 /**
  * Direct probe of the zero-steady-state-allocation guarantee: warm a
- * 4-kernel group with oversized (arena-routed) payloads, then read the
- * exchange-path allocation counter across an identical second wave. The
+ * 4-kernel group with 16-byte payloads (the size of the fleet's shard
+ * fabric captures), then read the exchange-path allocation counter
+ * across an identical second wave. The
  * unit suite pins the same property with a real allocator override
  * (tests/sim/shard_group_test.cc); recording the counter here keeps the
  * JSON trajectory honest in release builds too.
@@ -161,27 +162,24 @@ uint64_t SteadyStateExchangeAllocs() {
     kernels.push_back(owned.back().get());
   }
   sim::ShardGroup group(kernels, kWindow);
-  struct Fat {
-    char pad[96];  // past the 48-byte inline buffer: takes the arena path
-  };
   auto wave = [&](uint64_t base_seq) {
     for (uint32_t from = 0; from < kKernels; ++from) {
       for (uint64_t m = 0; m < 16; ++m) {
-        Fat fat{};
+        const uint64_t seq = base_seq + m;
         group.Post(from, (from + 1) % kKernels,
-                   kernels[from]->Now() + kWindow, /*lane=*/from,
-                   base_seq + m, [fat] { (void)fat.pad; });
+                   kernels[from]->Now() + kWindow, /*lane=*/from, seq,
+                   [from, seq] { (void)from; (void)seq; });
       }
     }
     group.Advance(SimTime::Max(), /*parallel=*/false);
   };
-  // Warm-up: arena cells and *both* sides of the double-buffered
-  // mailboxes grow here (each run flips staging and inbox once, so the
-  // second wave touches the other buffer).
+  // Warm-up: *both* sides of the double-buffered mailboxes grow here
+  // (each run flips staging and inbox once, so the second wave touches
+  // the other buffer).
   wave(0);
   wave(16);
   const uint64_t warm = group.exchange_allocs();
-  wave(32);  // steady state: every buffer and cell must be reused
+  wave(32);  // steady state: every buffer must be reused
   return group.exchange_allocs() - warm;
 }
 

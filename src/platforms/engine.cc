@@ -7,7 +7,7 @@
 #include "consensus/paxos.h"
 #include "platforms/shuffle.h"
 #include "profiling/continuous.h"
-#include "sim/sequence.h"
+#include "sim/barrier.h"
 
 namespace hyperprof::platforms {
 
@@ -47,15 +47,26 @@ uint64_t DeriveQuerySeed(uint64_t base, uint64_t index) {
 
 }  // namespace
 
+void DirectIoPort::Submit(
+    const IoRequest& request,
+    storage::DistributedFileSystem::ReadCallback on_done) {
+  if (request.write) {
+    dfs_->Write(request.client, request.block_id, request.bytes,
+                request.replication, std::move(on_done));
+  } else {
+    dfs_->Read(request.client, request.block_id, request.bytes,
+               std::move(on_done));
+  }
+}
+
 PlatformEngine::PlatformEngine(EngineContext context, PlatformSpec spec,
                                Rng rng)
     : context_(context),
       spec_(std::move(spec)),
       rng_(std::move(rng)),
-      sharded_(context.shard_io != nullptr) {
-  assert(!sharded_ || context_.shard_count > 0);
+      sharded_(context.shard_count > 0) {
   assert(!sharded_ || spec_.worker_cores == 0);
-  assert(context_.simulator && context_.dfs && context_.rpc &&
+  assert(context_.simulator && context_.io && context_.rpc &&
          context_.tracer && context_.profiler && context_.registry &&
          context_.block_sampler);
   // Windowed profiling rides the tracer's finish path: attaching here
@@ -404,27 +415,16 @@ void PlatformEngine::RunIoPhase(std::shared_ptr<QueryState> query,
         }
         barrier();
       };
-      if (sharded_) {
-        // Route through the cross-shard fabric: the request reaches the
-        // storage kernel one window later, the completion returns here
-        // one window after the storage plane finishes.
-        if (phase.write) {
-          context_.shard_io->Write(context_.shard_index, query->lane,
-                                   query->msg_seq++, query->client, block_id,
-                                   phase.block_bytes,
-                                   phase.write_replication, on_io);
-        } else {
-          context_.shard_io->Read(context_.shard_index, query->lane,
-                                  query->msg_seq++, query->client, block_id,
-                                  phase.block_bytes, on_io);
-        }
-      } else if (phase.write) {
-        context_.dfs->Write(query->client, block_id, phase.block_bytes,
-                            phase.write_replication, on_io);
-      } else {
-        context_.dfs->Read(query->client, block_id, phase.block_bytes,
-                           on_io);
-      }
+      IoRequest request;
+      request.shard = context_.shard_index;
+      request.lane = query->lane;
+      request.seq = query->msg_seq++;
+      request.client = query->client;
+      request.block_id = block_id;
+      request.bytes = phase.block_bytes;
+      request.replication = phase.write_replication;
+      request.write = phase.write;
+      context_.io->Submit(request, on_io);
     }
   };
   (*issue_wave)();
@@ -486,11 +486,10 @@ void PlatformEngine::RunRemotePhase(std::shared_ptr<QueryState> query,
         draw.Fork());
     uint32_t proposer_id =
         static_cast<uint32_t>(draw.NextBounded(1 << 15)) + 1;
-    // The commit value is this query's mutation id: the completion count
-    // in legacy mode, the shard-layout-invariant lane in sharded mode.
+    // The commit value is this query's lane. It never reaches an output:
+    // message sizes are fixed, and the chosen value is discarded.
     group->Propose(
-        query->client, proposer_id,
-        "commit-" + std::to_string(sharded_ ? query->lane : completed_),
+        query->client, proposer_id, "commit-" + std::to_string(query->lane),
         [group, finish = std::move(finish)](
             const consensus::ProposeResult&) { finish(); });
     return;

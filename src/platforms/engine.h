@@ -18,35 +18,52 @@
 
 namespace hyperprof::platforms {
 
+/** One storage access of an IO phase. */
+struct IoRequest {
+  // Issuing shard and the (lane, seq) key that orders same-instant
+  // cross-shard messages: `lane` is the global query index and `seq` a
+  // per-query message counter. Only the shard fabric reads them.
+  uint32_t shard = 0;
+  uint64_t lane = 0;
+  uint64_t seq = 0;
+  net::NodeId client;
+  uint64_t block_id = 0;
+  uint64_t bytes = 0;
+  uint32_t replication = 0;  // writes only
+  bool write = false;
+};
+
 /**
- * Cross-shard access to the storage plane for sharded platforms (see
- * FleetConfig::shards_per_platform). A shard engine submits reads and
- * writes here instead of calling the filesystem directly; the fabric
- * carries the request to the storage kernel and the completion back to
- * the issuing shard, each hop taking one shard window. `lane` is the
- * global query index and `seq` a per-query message counter — together
- * the shard-layout-invariant key that fixes the canonical delivery order
- * of same-instant cross-shard messages.
+ * Where an engine's storage IO goes. A fused platform's port calls the
+ * filesystem on the engine's own kernel (DirectIoPort); a sharded
+ * platform's port is the shard fabric, which carries the request to the
+ * storage kernel and the completion back to the issuing shard, each hop
+ * taking one shard window (fleet.cc).
  */
-class ShardIo {
+class IoPort {
  public:
-  virtual ~ShardIo() = default;
+  virtual ~IoPort() = default;
 
-  virtual void Read(uint32_t shard, uint64_t lane, uint64_t seq,
-                    const net::NodeId& client, uint64_t block_id,
-                    uint64_t bytes,
-                    storage::DistributedFileSystem::ReadCallback on_done) = 0;
+  virtual void Submit(const IoRequest& request,
+                      storage::DistributedFileSystem::ReadCallback on_done) = 0;
+};
 
-  virtual void Write(uint32_t shard, uint64_t lane, uint64_t seq,
-                     const net::NodeId& client, uint64_t block_id,
-                     uint64_t bytes, uint32_t replication,
-                     storage::DistributedFileSystem::ReadCallback on_done) = 0;
+/** IoPort straight onto a filesystem on the engine's kernel. */
+class DirectIoPort : public IoPort {
+ public:
+  explicit DirectIoPort(storage::DistributedFileSystem* dfs) : dfs_(dfs) {}
+
+  void Submit(const IoRequest& request,
+              storage::DistributedFileSystem::ReadCallback on_done) override;
+
+ private:
+  storage::DistributedFileSystem* dfs_;
 };
 
 /** Everything a platform engine needs from the substrate. */
 struct EngineContext {
   sim::Simulator* simulator = nullptr;
-  storage::DistributedFileSystem* dfs = nullptr;
+  IoPort* io = nullptr;
   net::RpcSystem* rpc = nullptr;
   profiling::Tracer* tracer = nullptr;
   profiling::CpuProfiler* profiler = nullptr;
@@ -63,15 +80,14 @@ struct EngineContext {
   const ZipfSampler* block_sampler = nullptr;
 
   // --- Sharded mode (FleetConfig::shards_per_platform > 0) ---
-  // When `shard_io` is set the engine runs in per-query-stream mode: it
-  // owns queries whose global index is congruent to `shard_index` mod
-  // `shard_count`, derives every stochastic draw for a query from a
-  // stream seeded by (stream_seed, query index), draws trace-sampling
-  // decisions itself (forced into the tracer), and routes storage IO
-  // through `shard_io` instead of `dfs`. All of this makes a query's
-  // simulated timeline a function of its index alone, which is what lets
-  // any shard count produce bit-identical platform results.
-  ShardIo* shard_io = nullptr;
+  // When `shard_count` is nonzero the engine runs in per-query-stream
+  // mode: it owns queries whose global index is congruent to
+  // `shard_index` mod `shard_count`, derives every stochastic draw for a
+  // query from a stream seeded by (stream_seed, query index), and draws
+  // trace-sampling decisions itself (forced into the tracer). All of this
+  // makes a query's simulated timeline a function of its index alone,
+  // which is what lets any shard count produce bit-identical platform
+  // results.
   uint32_t shard_index = 0;
   uint32_t shard_count = 0;  // 0 = legacy fused mode
   uint64_t stream_seed = 0;  // base of the per-query derived streams

@@ -17,6 +17,15 @@ namespace {
 // constant is the only randomness source it constructs.
 constexpr uint64_t kMergeSeed = 0x9e3779b97f4a7c15ULL;
 
+// Trace options the fleet config asks for: the fused tracer's and the
+// sharded merge's.
+profiling::TracerOptions TracerOptionsFrom(const FleetConfig& config) {
+  profiling::TracerOptions options;
+  options.retention = config.trace_retention;
+  options.reservoir_capacity = config.trace_reservoir_capacity;
+  return options;
+}
+
 // Windowed-profiler options from the fleet config. `defer` marks worker
 // shards, whose partial windows must not be budget-evaluated; the merged
 // (or fused) instance evaluates in window-index order instead.
@@ -31,28 +40,17 @@ profiling::ContinuousOptions ContinuousOptionsFrom(const FleetConfig& config,
   return options;
 }
 
-}  // namespace
-
-/** One worker shard's private substrate (sharded platforms only). */
-struct FleetSimulation::PlatformSlot::WorkerShard {
-  std::unique_ptr<sim::Simulator> simulator;
-  std::unique_ptr<net::RpcSystem> rpc;
-  std::unique_ptr<net::FaultModel> faults;
-  std::unique_ptr<profiling::Tracer> tracer;
-  std::unique_ptr<profiling::CpuProfiler> profiler;
-  std::unique_ptr<profiling::ContinuousProfiler> continuous;
-  std::unique_ptr<PlatformEngine> engine;
-};
-
 /**
- * ShardIo over a ShardGroup: a request hops from its worker kernel to the
+ * IoPort over a ShardGroup: a request hops from its worker kernel to the
  * storage kernel and the completion hops back, each hop taking exactly one
  * shard window — the modeled worker<->fileserver fabric latency that makes
  * the group's conservative epochs sound. The (lane, seq) key travels with
  * both hops; request and reply stay distinct because they differ in
- * destination.
+ * destination. Both hops capture only the shared Request record, which
+ * also carries the reply's IoResult, so every payload fits an envelope
+ * inline.
  */
-class ShardIoFabric : public ShardIo {
+class ShardIoFabric : public IoPort {
  public:
   /** `kernels` = worker kernels in shard order, storage kernel last. */
   ShardIoFabric(sim::ShardGroup* group, std::vector<sim::Simulator*> kernels,
@@ -60,79 +58,48 @@ class ShardIoFabric : public ShardIo {
       : group_(group),
         kernels_(std::move(kernels)),
         storage_index_(static_cast<uint32_t>(kernels_.size() - 1)),
-        dfs_(dfs) {}
+        storage_(dfs) {}
 
-  void Read(uint32_t shard, uint64_t lane, uint64_t seq,
-            const net::NodeId& client, uint64_t block_id, uint64_t bytes,
-            storage::DistributedFileSystem::ReadCallback on_done) override {
-    Submit(shard, lane, seq, client, block_id, bytes, /*replication=*/0,
-           /*is_write=*/false, std::move(on_done));
-  }
-
-  void Write(uint32_t shard, uint64_t lane, uint64_t seq,
-             const net::NodeId& client, uint64_t block_id, uint64_t bytes,
-             uint32_t replication,
-             storage::DistributedFileSystem::ReadCallback on_done) override {
-    Submit(shard, lane, seq, client, block_id, bytes, replication,
-           /*is_write=*/true, std::move(on_done));
+  void Submit(const IoRequest& request,
+              storage::DistributedFileSystem::ReadCallback on_done) override {
+    auto req = std::make_shared<Request>();
+    req->fabric = this;
+    req->io = request;
+    req->on_done = std::move(on_done);
+    group_->Post(request.shard, storage_index_,
+                 kernels_[request.shard]->Now() + group_->window(),
+                 request.lane, request.seq,
+                 [req]() { req->fabric->Serve(req); });
   }
 
  private:
   struct Request {
     ShardIoFabric* fabric = nullptr;
-    uint32_t shard = 0;
-    uint64_t lane = 0;
-    uint64_t seq = 0;
-    net::NodeId client;
-    uint64_t block_id = 0;
-    uint64_t bytes = 0;
-    uint32_t replication = 0;
-    bool is_write = false;
+    IoRequest io;
     storage::DistributedFileSystem::ReadCallback on_done;
+    // Set on the storage kernel, read on the worker after the reply hop.
+    storage::IoResult result;
   };
 
-  void Submit(uint32_t shard, uint64_t lane, uint64_t seq,
-              const net::NodeId& client, uint64_t block_id, uint64_t bytes,
-              uint32_t replication, bool is_write,
-              storage::DistributedFileSystem::ReadCallback on_done) {
-    auto req = std::make_shared<Request>();
-    req->fabric = this;
-    req->shard = shard;
-    req->lane = lane;
-    req->seq = seq;
-    req->client = client;
-    req->block_id = block_id;
-    req->bytes = bytes;
-    req->replication = replication;
-    req->is_write = is_write;
-    req->on_done = std::move(on_done);
-    group_->Post(shard, storage_index_,
-                 kernels_[shard]->Now() + group_->window(), lane, seq,
-                 [req]() { req->fabric->Serve(req); });
-  }
-
   void Serve(const std::shared_ptr<Request>& req) {
-    auto reply = [req](const storage::IoResult& io) {
+    storage_.Submit(req->io, [req](const storage::IoResult& io) {
+      req->result = io;
       ShardIoFabric* fabric = req->fabric;
       fabric->group_->Post(
-          fabric->storage_index_, req->shard,
+          fabric->storage_index_, req->io.shard,
           fabric->kernels_[fabric->storage_index_]->Now() +
               fabric->group_->window(),
-          req->lane, req->seq, [req, io]() { req->on_done(io); });
-    };
-    if (req->is_write) {
-      dfs_->Write(req->client, req->block_id, req->bytes, req->replication,
-                  std::move(reply));
-    } else {
-      dfs_->Read(req->client, req->block_id, req->bytes, std::move(reply));
-    }
+          req->io.lane, req->io.seq, [req]() { req->on_done(req->result); });
+    });
   }
 
   sim::ShardGroup* group_;
   std::vector<sim::Simulator*> kernels_;
   uint32_t storage_index_;
-  storage::DistributedFileSystem* dfs_;
+  DirectIoPort storage_;  // the filesystem, on the storage kernel
 };
+
+}  // namespace
 
 FleetSimulation::FleetSimulation(FleetConfig config)
     : config_(config), registry_(profiling::BuildFleetRegistry()) {}
@@ -156,140 +123,110 @@ uint64_t FleetSimulation::PlatformSeed(uint64_t fleet_seed,
 
 void FleetSimulation::AddPlatform(PlatformSpec spec) {
   assert(!started_);
-  if (config_.shards_per_platform > 0) {
-    AddShardedPlatform(std::move(spec));
-    return;
-  }
+  const uint32_t shards = config_.shards_per_platform;
+  const bool sharded = shards > 0;
   auto slot = std::make_unique<PlatformSlot>();
-  // Every stochastic component of the shard forks from one per-platform
-  // stream, so a shard's behaviour depends only on (seed, index) — never
-  // on which host thread runs it or what the other platforms do.
-  Rng shard_rng(PlatformSeed(config_.seed, slots_.size()));
   slot->spec = spec;
-  BuildStoragePlane(*slot, shard_rng);
-  profiling::TracerOptions tracer_options;
-  tracer_options.retention = config_.trace_retention;
-  tracer_options.reservoir_capacity = config_.trace_reservoir_capacity;
-  slot->tracer = std::make_unique<profiling::Tracer>(
-      config_.trace_sample_one_in, shard_rng.Fork(), tracer_options);
-  slot->profiler = std::make_unique<profiling::CpuProfiler>(
-      config_.profiler_period, config_.cpu_hz, shard_rng.Fork());
-  if (config_.continuous_window > SimTime::Zero()) {
-    slot->continuous = std::make_unique<profiling::ContinuousProfiler>(
-        ContinuousOptionsFrom(config_, /*defer=*/false));
-  }
+  slot->kernels.resize(shards + 1);
+  // Every stochastic component of the platform forks from one per-platform
+  // stream, so its behaviour depends only on (seed, index) — never on
+  // which host thread runs it or what the other platforms do. Both shapes
+  // fork in the same order (storage plane, tracer, profiler, engine,
+  // faults LAST), so the storage plane draws the same streams in both.
+  Rng platform_rng(PlatformSeed(config_.seed, slots_.size()));
+  BuildStoragePlane(*slot, platform_rng);
+  Rng tracer_rng = platform_rng.Fork();
+  Rng profiler_rng = platform_rng.Fork();
+  Rng engine_rng = platform_rng.Fork();
+
   EngineContext context;
-  context.simulator = slot->simulator.get();
-  context.dfs = slot->dfs.get();
   context.block_sampler = slot->block_sampler.get();
-  context.rpc = slot->rpc.get();
-  context.tracer = slot->tracer.get();
-  context.profiler = slot->profiler.get();
-  context.continuous = slot->continuous.get();
   context.registry = &registry_;
   context.worker_hosts = config_.worker_hosts;
-  slot->engine = std::make_unique<PlatformEngine>(context, std::move(spec),
-                                                  shard_rng.Fork());
-  // The fault model's private stream forks LAST: every pre-existing
+  profiling::TracerOptions tracer_options = TracerOptionsFrom(config_);
+  if (sharded) {
+    for (uint32_t k = 0; k < shards; ++k) {
+      slot->kernels[k].simulator = std::make_unique<sim::Simulator>();
+      slot->kernels[k].simulator->Reserve(4096);
+    }
+    std::vector<sim::Simulator*> kernels;
+    for (const PlatformSlot::Kernel& kernel : slot->kernels) {
+      kernels.push_back(kernel.simulator.get());
+    }
+    slot->group =
+        std::make_unique<sim::ShardGroup>(kernels, config_.shard_window);
+    slot->io = std::make_unique<ShardIoFabric>(slot->group.get(), kernels,
+                                               slot->dfs.get());
+    context.shard_count = shards;
+    // One base for the per-query derived streams, shared by every worker:
+    // a query's stream depends on its global index alone, which is the
+    // whole reason any shard count recovers bit-identical results. The
+    // workers' own tracer/profiler/rpc/fault streams are never consumed,
+    // so their seeds only need to be deterministic.
+    context.stream_seed = engine_rng.Next();
+    context.sample_one_in = config_.trace_sample_one_in;
+    // Worker-pool contention is a fused-mode feature: a finite core pool
+    // is cross-query mutable state, which sharded determinism forbids.
+    spec.worker_cores = 0;
+    // Workers retain every trace regardless of the configured retention:
+    // the post-run merge replays them through a tracer built with the
+    // configured retention, which is where reservoir bounds apply.
+    tracer_options.retention = profiling::TraceRetention::kRetainAll;
+  } else {
+    slot->io = std::make_unique<DirectIoPort>(slot->dfs.get());
+  }
+  context.io = slot->io.get();
+
+  // A fused platform's one engine runs on the storage kernel and uses the
+  // tracer, profiler and engine streams directly; each sharded worker
+  // forks its own from them.
+  for (uint32_t k = 0; k < std::max(shards, 1u); ++k) {
+    PlatformSlot::Kernel& kernel = slot->kernels[k];
+    if (sharded) {
+      kernel.rpc = std::make_unique<net::RpcSystem>(
+          kernel.simulator.get(), slot->network.get(), engine_rng.Fork());
+      kernel.faults = InstallFaults(*kernel.rpc, engine_rng.Fork());
+    }
+    PlatformSlot::Engine& engine = slot->engines.emplace_back();
+    engine.tracer = std::make_unique<profiling::Tracer>(
+        config_.trace_sample_one_in,
+        sharded ? tracer_rng.Fork() : tracer_rng, tracer_options);
+    engine.profiler = std::make_unique<profiling::CpuProfiler>(
+        config_.profiler_period, config_.cpu_hz,
+        sharded ? profiler_rng.Fork() : profiler_rng);
+    if (config_.continuous_window > SimTime::Zero()) {
+      engine.continuous = std::make_unique<profiling::ContinuousProfiler>(
+          ContinuousOptionsFrom(config_, /*defer=*/sharded));
+    }
+    context.simulator = kernel.simulator.get();
+    context.rpc = kernel.rpc.get();
+    context.tracer = engine.tracer.get();
+    context.profiler = engine.profiler.get();
+    context.continuous = engine.continuous.get();
+    context.shard_index = k;
+    engine.engine = std::make_unique<PlatformEngine>(
+        context, spec, sharded ? engine_rng.Fork() : engine_rng);
+  }
+  // The storage plane's fault stream forks LAST: every pre-existing
   // subsystem sees exactly the stream it saw before fault injection
   // existed, which is what keeps the fault-free goldens bit-identical
   // (pinned by golden_breakdown_test). Do not reorder.
-  slot->faults = InstallFaults(*slot->rpc, shard_rng.Fork());
-  slots_.push_back(std::move(slot));
-}
-
-void FleetSimulation::AddShardedPlatform(PlatformSpec spec) {
-  const uint32_t num_shards = config_.shards_per_platform;
-  auto slot = std::make_unique<PlatformSlot>();
-  slot->sharded = true;
-  slot->spec = spec;
-  // Mirror the fused fork order (rpc, dfs, tracer, profiler, engine,
-  // faults LAST) so the storage plane draws the same streams in both
-  // modes. The tracer/profiler/rpc/fault streams of the workers are
-  // never consumed — every sharded-mode draw comes from a per-query
-  // stream — so their seeds only need to be deterministic.
-  Rng shard_rng(PlatformSeed(config_.seed, slots_.size()));
-  // The fused slot members double as the storage plane: `simulator` is
-  // the storage kernel, and rpc/dfs run on it exactly as in fused mode.
-  BuildStoragePlane(*slot, shard_rng);
-  Rng tracer_rng = shard_rng.Fork();
-  Rng profiler_rng = shard_rng.Fork();
-  Rng engine_rng = shard_rng.Fork();
-  // One base for the per-query derived streams, shared by every worker:
-  // a query's stream depends on its global index alone, which is the
-  // whole reason any shard count recovers bit-identical results.
-  const uint64_t stream_seed = engine_rng.Next();
-
-  // Worker kernels first (kernel index == shard index), storage last.
-  std::vector<sim::Simulator*> kernels;
-  for (uint32_t k = 0; k < num_shards; ++k) {
-    auto worker = std::make_unique<PlatformSlot::WorkerShard>();
-    worker->simulator = std::make_unique<sim::Simulator>();
-    worker->simulator->Reserve(4096);
-    kernels.push_back(worker->simulator.get());
-    slot->workers.push_back(std::move(worker));
-  }
-  kernels.push_back(slot->simulator.get());
-  slot->group =
-      std::make_unique<sim::ShardGroup>(kernels, config_.shard_window);
-  slot->fabric = std::make_unique<ShardIoFabric>(slot->group.get(), kernels,
-                                                 slot->dfs.get());
-
-  // Workers retain every trace regardless of the configured retention:
-  // the post-run merge replays them through a tracer built with the
-  // configured retention, which is where reservoir bounds apply.
-  profiling::TracerOptions worker_tracer_options;
-  worker_tracer_options.retention = profiling::TraceRetention::kRetainAll;
-  for (uint32_t k = 0; k < num_shards; ++k) {
-    PlatformSlot::WorkerShard& worker = *slot->workers[k];
-    worker.rpc = std::make_unique<net::RpcSystem>(
-        worker.simulator.get(), slot->network.get(), engine_rng.Fork());
-    worker.faults = InstallFaults(*worker.rpc, engine_rng.Fork());
-    worker.tracer = std::make_unique<profiling::Tracer>(
-        config_.trace_sample_one_in, tracer_rng.Fork(),
-        worker_tracer_options);
-    worker.profiler = std::make_unique<profiling::CpuProfiler>(
-        config_.profiler_period, config_.cpu_hz, profiler_rng.Fork());
-    if (config_.continuous_window > SimTime::Zero()) {
-      worker.continuous = std::make_unique<profiling::ContinuousProfiler>(
-          ContinuousOptionsFrom(config_, /*defer=*/true));
-    }
-    EngineContext context;
-    context.simulator = worker.simulator.get();
-    context.dfs = slot->dfs.get();  // unused when sharded; kept non-null
-    context.block_sampler = slot->block_sampler.get();
-    context.rpc = worker.rpc.get();
-    context.tracer = worker.tracer.get();
-    context.profiler = worker.profiler.get();
-    context.continuous = worker.continuous.get();
-    context.registry = &registry_;
-    context.shard_io = slot->fabric.get();
-    context.shard_index = k;
-    context.shard_count = num_shards;
-    context.stream_seed = stream_seed;
-    context.sample_one_in = config_.trace_sample_one_in;
-    context.worker_hosts = config_.worker_hosts;
-    PlatformSpec worker_spec = spec;
-    // Worker-pool contention is a fused-mode feature: a finite core pool
-    // is cross-query mutable state, which sharded determinism forbids.
-    worker_spec.worker_cores = 0;
-    worker.engine = std::make_unique<PlatformEngine>(
-        context, std::move(worker_spec), engine_rng.Fork());
-  }
-  // Storage-plane fault stream forks LAST, as in fused mode.
-  slot->faults = InstallFaults(*slot->rpc, shard_rng.Fork());
+  slot->storage().faults =
+      InstallFaults(*slot->storage().rpc, platform_rng.Fork());
   slots_.push_back(std::move(slot));
 }
 
 void FleetSimulation::BuildStoragePlane(PlatformSlot& slot,
-                                        Rng& shard_rng) const {
-  slot.simulator = std::make_unique<sim::Simulator>();
-  slot.simulator->Reserve(4096);
+                                        Rng& platform_rng) const {
+  PlatformSlot::Kernel& storage = slot.storage();
+  storage.simulator = std::make_unique<sim::Simulator>();
+  storage.simulator->Reserve(4096);
   slot.network = std::make_unique<net::NetworkModel>();
-  slot.rpc = std::make_unique<net::RpcSystem>(
-      slot.simulator.get(), slot.network.get(), shard_rng.Fork());
+  storage.rpc = std::make_unique<net::RpcSystem>(
+      storage.simulator.get(), slot.network.get(), platform_rng.Fork());
   slot.dfs = std::make_unique<storage::DistributedFileSystem>(
-      slot.simulator.get(), slot.rpc.get(), config_.dfs, shard_rng.Fork());
+      storage.simulator.get(), storage.rpc.get(), config_.dfs,
+      platform_rng.Fork());
   // Start from the warm steady state: install the hottest blocks (block
   // id == Zipf popularity rank) so the configured tier hit rates hold
   // from the first query.
@@ -321,29 +258,26 @@ void FleetSimulation::AddDefaultPlatforms() {
 
 void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
   // --- Tracer merge: replay worker traces in canonical order ------------
-  profiling::TracerOptions options;
-  options.retention = config_.trace_retention;
-  options.reservoir_capacity = config_.trace_reservoir_capacity;
   slot.merged_tracer = std::make_unique<profiling::Tracer>(
-      config_.trace_sample_one_in, Rng(kMergeSeed), options);
+      config_.trace_sample_one_in, Rng(kMergeSeed), TracerOptionsFrom(config_));
   // Every worker interned the identical name table (the engines are
   // clones of one spec); copy it in id order so the NameIds carried by
   // replayed traces resolve unchanged.
-  const profiling::NameInterner& names = slot.workers[0]->tracer->names();
+  const profiling::NameInterner& names = slot.engines[0].tracer->names();
   for (size_t id = 1; id <= names.size(); ++id) {
     slot.merged_tracer->names().Intern(
         names.Name(static_cast<profiling::NameId>(id)));
   }
   uint64_t seen = 0;
   size_t retained = 0;
-  for (const auto& worker : slot.workers) {
-    seen += worker->tracer->queries_seen();
-    retained += worker->tracer->traces().size();
+  for (const PlatformSlot::Engine& engine : slot.engines) {
+    seen += engine.tracer->queries_seen();
+    retained += engine.tracer->traces().size();
   }
   std::vector<const profiling::QueryTrace*> all;
   all.reserve(retained);
-  for (const auto& worker : slot.workers) {
-    for (const auto& trace : worker->tracer->traces()) all.push_back(&trace);
+  for (const PlatformSlot::Engine& engine : slot.engines) {
+    for (const auto& trace : engine.tracer->traces()) all.push_back(&trace);
   }
   // Canonical completion order: ties on `end` are broken by trace id,
   // which is the global query index — unique and shard-layout-invariant.
@@ -379,8 +313,8 @@ void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
   // by exact-integer counter sums, so reports are order-independent.
   slot.merged_profiler = std::make_unique<profiling::CpuProfiler>(
       config_.profiler_period, config_.cpu_hz, Rng(kMergeSeed));
-  for (const auto& worker : slot.workers) {
-    slot.merged_profiler->AbsorbSamples(*worker->profiler);
+  for (const PlatformSlot::Engine& engine : slot.engines) {
+    slot.merged_profiler->AbsorbSamples(*engine.profiler);
   }
   // --- Continuous-profile merge: combine windows at the barrier ---------
   // Workers accumulated deferred (partial) windows; summing them by
@@ -392,8 +326,8 @@ void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
   if (config_.continuous_window > SimTime::Zero()) {
     slot.merged_continuous = std::make_unique<profiling::ContinuousProfiler>(
         ContinuousOptionsFrom(config_, /*defer=*/false));
-    for (const auto& worker : slot.workers) {
-      slot.merged_continuous->MergeFrom(*worker->continuous);
+    for (const PlatformSlot::Engine& engine : slot.engines) {
+      slot.merged_continuous->MergeFrom(*engine.continuous);
     }
     slot.merged_continuous->Finalize();
   }
@@ -401,14 +335,9 @@ void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
 
 void FleetSimulation::StartSlot(PlatformSlot& slot) {
   if (config_.queries_per_platform == 0) return;  // serving: Submit-driven
-  if (slot.sharded) {
-    for (auto& worker : slot.workers) {
-      worker->engine->Run(config_.queries_per_platform,
-                          config_.arrival_rate_qps, []() {});
-    }
-  } else {
-    slot.engine->Run(config_.queries_per_platform, config_.arrival_rate_qps,
-                     []() {});
+  for (PlatformSlot::Engine& engine : slot.engines) {
+    engine.engine->Run(config_.queries_per_platform, config_.arrival_rate_qps,
+                       []() {});
   }
 }
 
@@ -419,21 +348,21 @@ void FleetSimulation::Start() {
 }
 
 bool FleetSimulation::AdvanceSlot(PlatformSlot& slot, SimTime until) {
-  if (slot.sharded) {
-    return slot.group->Advance(until, /*parallel=*/false);
-  }
+  if (slot.group) return slot.group->Advance(until, /*parallel=*/false);
+  sim::Simulator& kernel = *slot.storage().simulator;
+  profiling::ContinuousProfiler* continuous = slot.engines[0].continuous.get();
   if (until == SimTime::Max()) {
-    slot.simulator->Run();
+    kernel.Run();
   } else {
-    slot.simulator->RunUntil(until);
+    kernel.RunUntil(until);
     // Seal windows the pause has passed, so live snapshots are fresh.
     // Every observation for a window ending at or before `until` has
     // already arrived (virtual time is monotone and RunUntil is
     // deadline-inclusive), so early sealing evaluates the same windows
     // with the same totals as a post-run Finalize — digests don't move.
-    if (slot.continuous) slot.continuous->AdvanceTo(until);
+    if (continuous) continuous->AdvanceTo(until);
   }
-  return slot.simulator->pending_events() > 0;
+  return kernel.pending_events() > 0;
 }
 
 bool FleetSimulation::Advance(SimTime until) {
@@ -446,14 +375,16 @@ bool FleetSimulation::Advance(SimTime until) {
 }
 
 void FleetSimulation::FinishSlot(PlatformSlot& slot, bool parallel) {
-  if (slot.sharded) {
+  if (slot.group) {
     slot.group->Advance(SimTime::Max(), parallel);
     FinalizePlatform(slot);
   } else {
-    slot.simulator->Run();
+    slot.storage().simulator->Run();
     // Seal and evaluate the trailing window(s) now that virtual time has
     // stopped advancing.
-    if (slot.continuous) slot.continuous->Finalize();
+    if (auto* continuous = slot.engines[0].continuous.get()) {
+      continuous->Finalize();
+    }
   }
 }
 
@@ -493,7 +424,7 @@ void FleetSimulation::RunAll() {
 PlatformResult FleetSimulation::Result(size_t index) const {
   assert(index < slots_.size());
   const PlatformSlot& slot = *slots_[index];
-  assert((!slot.sharded || slot.merged_tracer) &&
+  assert((!slot.group || slot.merged_tracer) &&
          "Result() before Finish/RunAll on a sharded fleet");
   const profiling::Tracer& tracer = TracerOf(index);
   const profiling::CpuProfiler& profiler = ProfilerOf(index);
@@ -530,33 +461,26 @@ const profiling::NameInterner& FleetSimulation::NamesOf(size_t index) const {
 const profiling::Tracer& FleetSimulation::TracerOf(size_t index) const {
   assert(index < slots_.size());
   const PlatformSlot& slot = *slots_[index];
-  if (slot.sharded) {
-    // Post-run: the canonical merged view. Mid-run (paused between
-    // Advance calls): worker 0's live tracer — a representative,
-    // self-consistent partial view.
-    return slot.merged_tracer ? *slot.merged_tracer
-                              : *slot.workers[0]->tracer;
-  }
-  return *slot.tracer;
+  // A sharded platform's canonical merged view once finished; before that
+  // (and always when fused) engine 0's live tracer — when sharded, a
+  // representative, self-consistent partial view.
+  return slot.merged_tracer ? *slot.merged_tracer : *slot.engines[0].tracer;
 }
 
 const profiling::CpuProfiler& FleetSimulation::ProfilerOf(
     size_t index) const {
   assert(index < slots_.size());
   const PlatformSlot& slot = *slots_[index];
-  if (slot.sharded) {
-    return slot.merged_profiler ? *slot.merged_profiler
-                                : *slot.workers[0]->profiler;
-  }
-  return *slot.profiler;
+  return slot.merged_profiler ? *slot.merged_profiler
+                              : *slot.engines[0].profiler;
 }
 
 const profiling::ContinuousProfiler* FleetSimulation::ContinuousOf(
     size_t index) const {
   assert(index < slots_.size());
   const PlatformSlot& slot = *slots_[index];
-  if (slot.sharded) return slot.merged_continuous.get();
-  return slot.continuous.get();
+  if (slot.group) return slot.merged_continuous.get();
+  return slot.engines[0].continuous.get();
 }
 
 const storage::DistributedFileSystem& FleetSimulation::DfsOf(
@@ -567,25 +491,24 @@ const storage::DistributedFileSystem& FleetSimulation::DfsOf(
 
 const net::FaultModel& FleetSimulation::FaultsOf(size_t index) const {
   assert(index < slots_.size());
-  return *slots_[index]->faults;
+  return *slots_[index]->storage().faults;
 }
 
 const net::RpcSystem& FleetSimulation::RpcOf(size_t index) const {
   assert(index < slots_.size());
-  return *slots_[index]->rpc;
+  return *slots_[index]->storage().rpc;
 }
 
 const PlatformEngine& FleetSimulation::EngineOf(size_t index) const {
   assert(index < slots_.size());
-  const PlatformSlot& slot = *slots_[index];
-  return slot.sharded ? *slot.workers[0]->engine : *slot.engine;
+  return *slots_[index]->engines[0].engine;
 }
 
 PlatformEngine& FleetSimulation::MutableEngineOf(size_t index) {
   assert(index < slots_.size());
   PlatformSlot& slot = *slots_[index];
-  assert(!slot.sharded && "serving admission requires a fused platform");
-  return *slot.engine;
+  assert(!slot.group && "serving admission requires a fused platform");
+  return *slot.engines[0].engine;
 }
 
 PlatformTotals FleetSimulation::TotalsOf(size_t index) const {
@@ -614,21 +537,17 @@ PlatformTotals FleetSimulation::TotalsOf(size_t index) const {
     t.injected_slowdowns += faults.injected_slowdowns();
     t.outage_hits += faults.outage_hits();
   };
-  if (slot.sharded) {
-    for (const auto& worker : slot.workers) {
-      t.queries_completed += worker->engine->queries_completed();
-      t.io_failures += worker->engine->io_failures();
-      add_kernel(*worker->simulator);
-      add_rpc(*worker->rpc);
-      add_faults(*worker->faults);
-    }
-  } else {
-    t.queries_completed = slot.engine->queries_completed();
-    t.io_failures = slot.engine->io_failures();
+  for (const PlatformSlot::Engine& engine : slot.engines) {
+    t.queries_completed += engine.engine->queries_completed();
+    t.io_failures += engine.engine->io_failures();
   }
-  add_kernel(*slot.simulator);
-  add_rpc(*slot.rpc);
-  add_faults(*slot.faults);
+  // Kernel order (workers, then storage) fixes the floating-point
+  // summation order of wasted_seconds.
+  for (const PlatformSlot::Kernel& kernel : slot.kernels) {
+    add_kernel(*kernel.simulator);
+    add_rpc(*kernel.rpc);
+    add_faults(*kernel.faults);
+  }
   return t;
 }
 
@@ -636,8 +555,8 @@ ShardStats FleetSimulation::ShardStatsOf(size_t index) const {
   assert(index < slots_.size());
   const PlatformSlot& slot = *slots_[index];
   ShardStats stats;
-  if (!slot.sharded) return stats;
-  stats.shard_count = static_cast<uint32_t>(slot.workers.size());
+  if (!slot.group) return stats;
+  stats.shard_count = static_cast<uint32_t>(slot.engines.size());
   stats.messages_posted = slot.group->messages_posted();
   stats.messages_delivered = slot.group->messages_delivered();
   stats.undelivered = slot.group->undelivered();
@@ -650,31 +569,24 @@ ShardStats FleetSimulation::ShardStatsOf(size_t index) const {
 FleetMemoryStats FleetSimulation::MemoryStats() const {
   FleetMemoryStats stats;
   for (const auto& slot : slots_) {
-    stats.kernel_bytes += slot->simulator->memory_bytes();
-    if (slot->sharded) {
-      for (const auto& worker : slot->workers) {
-        stats.kernel_bytes += worker->simulator->memory_bytes();
-        stats.tracer_bytes += worker->tracer->memory_bytes();
-        stats.profiler_bytes += worker->profiler->memory_bytes();
-        if (worker->continuous) {
-          stats.profiler_bytes += worker->continuous->memory_bytes();
-        }
+    for (const PlatformSlot::Kernel& kernel : slot->kernels) {
+      stats.kernel_bytes += kernel.simulator->memory_bytes();
+    }
+    for (const PlatformSlot::Engine& engine : slot->engines) {
+      stats.tracer_bytes += engine.tracer->memory_bytes();
+      stats.profiler_bytes += engine.profiler->memory_bytes();
+      if (engine.continuous) {
+        stats.profiler_bytes += engine.continuous->memory_bytes();
       }
-      if (slot->merged_tracer) {
-        stats.tracer_bytes += slot->merged_tracer->memory_bytes();
-      }
-      if (slot->merged_profiler) {
-        stats.profiler_bytes += slot->merged_profiler->memory_bytes();
-      }
-      if (slot->merged_continuous) {
-        stats.profiler_bytes += slot->merged_continuous->memory_bytes();
-      }
-    } else {
-      stats.tracer_bytes += slot->tracer->memory_bytes();
-      stats.profiler_bytes += slot->profiler->memory_bytes();
-      if (slot->continuous) {
-        stats.profiler_bytes += slot->continuous->memory_bytes();
-      }
+    }
+    if (slot->merged_tracer) {
+      stats.tracer_bytes += slot->merged_tracer->memory_bytes();
+    }
+    if (slot->merged_profiler) {
+      stats.profiler_bytes += slot->merged_profiler->memory_bytes();
+    }
+    if (slot->merged_continuous) {
+      stats.profiler_bytes += slot->merged_continuous->memory_bytes();
     }
     // Four clusters of worker hosts per platform region (the client and
     // fan-out draw space of the engine).
@@ -694,9 +606,8 @@ FleetMemoryStats FleetSimulation::MemoryStats() const {
 uint64_t FleetSimulation::total_events_executed() const {
   uint64_t total = 0;
   for (const auto& slot : slots_) {
-    total += slot->simulator->events_executed();
-    for (const auto& worker : slot->workers) {
-      total += worker->simulator->events_executed();
+    for (const PlatformSlot::Kernel& kernel : slot->kernels) {
+      total += kernel.simulator->events_executed();
     }
   }
   return total;

@@ -22,8 +22,6 @@
 
 namespace hyperprof::platforms {
 
-class ShardIoFabric;  // fleet.cc: ShardIo over a ShardGroup
-
 /** Configuration of a whole-fleet characterization run. */
 struct FleetConfig {
   uint64_t queries_per_platform = 20000;
@@ -324,47 +322,56 @@ class FleetSimulation {
    * One platform's private substrate. Shards never reference each other;
    * the only cross-shard state is the (immutable after construction)
    * function registry and config.
+   *
+   * Both platform shapes use this one layout. A fused platform is the
+   * storage plane plus one engine on the storage kernel; a sharded one
+   * adds a worker kernel per engine, the group that runs the kernels in
+   * epochs, and the post-run merged views.
    */
   struct PlatformSlot {
+    /** One event kernel and the RPC fabric (with its faults) on it. */
+    struct Kernel {
+      std::unique_ptr<sim::Simulator> simulator;
+      std::unique_ptr<net::RpcSystem> rpc;
+      std::unique_ptr<net::FaultModel> faults;
+    };
+    /** One engine and the measurement state it writes. */
+    struct Engine {
+      std::unique_ptr<profiling::Tracer> tracer;
+      std::unique_ptr<profiling::CpuProfiler> profiler;
+      std::unique_ptr<profiling::ContinuousProfiler> continuous;
+      std::unique_ptr<PlatformEngine> engine;
+    };
+
     PlatformSpec spec;
-    std::unique_ptr<sim::Simulator> simulator;
+    // Worker kernels in shard order, then the storage kernel (the only
+    // kernel of a fused platform). Engine k runs on kernel k.
+    std::vector<Kernel> kernels;
     std::unique_ptr<net::NetworkModel> network;
-    std::unique_ptr<net::RpcSystem> rpc;
-    std::unique_ptr<net::FaultModel> faults;
     std::unique_ptr<storage::DistributedFileSystem> dfs;
     // The platform's block popularity table, shared by all its engines.
     std::unique_ptr<ZipfSampler> block_sampler;
-    std::unique_ptr<profiling::Tracer> tracer;
-    std::unique_ptr<profiling::CpuProfiler> profiler;
-    std::unique_ptr<profiling::ContinuousProfiler> continuous;
-    std::unique_ptr<PlatformEngine> engine;
+    // Where the engines' IO goes: the DFS directly when fused, the shard
+    // fabric when sharded.
+    std::unique_ptr<IoPort> io;
+    std::vector<Engine> engines;
 
-    // --- Sharded mode (shards_per_platform > 0) --------------------------
-    // The members above are repurposed: `simulator` hosts the storage
-    // kernel, and rpc/faults/dfs live on it unchanged, so the storage
-    // accessors work identically in both modes. tracer/profiler/engine
-    // stay null — per-worker instances live in `workers`, and the
-    // post-run merge materializes the platform-level views.
-    bool sharded = false;
-    struct WorkerShard;  // fleet.cc: one worker kernel's substrate
-    std::vector<std::unique_ptr<WorkerShard>> workers;
+    // --- Sharded platforms only (shards_per_platform > 0) ----------------
     std::unique_ptr<sim::ShardGroup> group;
-    std::unique_ptr<ShardIoFabric> fabric;
     std::unique_ptr<profiling::Tracer> merged_tracer;
     std::unique_ptr<profiling::CpuProfiler> merged_profiler;
     std::unique_ptr<profiling::ContinuousProfiler> merged_continuous;
-  };
 
-  /** Builds a sharded slot (workers + storage kernel + fabric). */
-  void AddShardedPlatform(PlatformSpec spec);
+    Kernel& storage() { return kernels.back(); }
+    const Kernel& storage() const { return kernels.back(); }
+  };
 
   /**
    * Builds `slot`'s storage plane — kernel, network, RPC, a Zipf-prewarmed
    * DFS, and the block table its engines draw from — forking rpc then dfs
-   * from `shard_rng`. Both platform modes call it first, so the plane
-   * draws the same streams.
+   * from `platform_rng`.
    */
-  void BuildStoragePlane(PlatformSlot& slot, Rng& shard_rng) const;
+  void BuildStoragePlane(PlatformSlot& slot, Rng& platform_rng) const;
 
   /** Installs a fault model on `rpc` with the configured faults/outages. */
   std::unique_ptr<net::FaultModel> InstallFaults(net::RpcSystem& rpc,

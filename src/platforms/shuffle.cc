@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "common/strings.h"
-#include "sim/sequence.h"
+#include "sim/barrier.h"
 
 namespace hyperprof::platforms {
 

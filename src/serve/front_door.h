@@ -25,7 +25,10 @@ struct FrontDoorOptions {
    * Fleet configuration. queries_per_platform is forced to zero — a
    * serving fleet has no batch workload; every query enters through
    * SubmitTicketed. Sharded platforms are not supported (a sharded engine
-   * owns a fixed query partition); keep shards_per_platform = 0.
+   * owns a fixed query partition); keep shards_per_platform = 0. Trace
+   * retention defaults to kSampleReservoir: a daemon runs for its whole
+   * life, so it keeps trace_reservoir_capacity traces rather than every
+   * sampled one, and its breakdowns are unchanged by the bound.
    */
   platforms::FleetConfig fleet;
   /**
@@ -37,7 +40,10 @@ struct FrontDoorOptions {
   /** Most-recent windows returned per kWindows request. */
   size_t windows_limit = 8;
 
-  FrontDoorOptions() { fleet.queries_per_platform = 0; }
+  FrontDoorOptions() {
+    fleet.queries_per_platform = 0;
+    fleet.trace_retention = profiling::TraceRetention::kSampleReservoir;
+  }
 };
 
 /**

@@ -32,57 +32,6 @@ ShardGroup::ShardGroup(std::vector<Simulator*> kernels, SimTime window)
       merge_scratch_(kernels_.size(),
                      std::vector<size_t>(kernels_.size(), 0)) {}
 
-ShardGroup::~ShardGroup() {
-  // Oversized payloads that were posted but never fired (teardown after
-  // an error) still own their captures; run their deleters here. Fired
-  // payloads destroyed themselves and set `done`.
-  for (Source& src : sources_) {
-    for (PayloadCell& cell : src.cells) {
-      if (cell.in_flight && !cell.done && cell.destroy != nullptr) {
-        cell.destroy(cell.mem.get());
-      }
-    }
-  }
-}
-
-ShardGroup::PayloadCell* ShardGroup::AcquireCell(Source& src, size_t bytes) {
-  std::vector<uint32_t>& free = src.free_cells;
-  for (size_t i = 0; i < free.size(); ++i) {
-    PayloadCell& cell = src.cells[free[i]];
-    if (cell.capacity < bytes) continue;
-    free[i] = free.back();
-    free.pop_back();
-    cell.in_flight = true;
-    cell.done = false;
-    ++src.cells_in_flight;
-    return &cell;
-  }
-  ++src.allocs;
-  src.cells.emplace_back();  // deque: existing cell addresses stay valid
-  PayloadCell& cell = src.cells.back();
-  // Round up so one warmed-up cell pool serves every payload shape.
-  cell.capacity = std::max<size_t>(bytes, 128);
-  cell.mem.reset(new unsigned char[cell.capacity]);
-  cell.in_flight = true;
-  ++src.cells_in_flight;
-  return &cell;
-}
-
-void ShardGroup::SweepArenas() {
-  for (Source& src : sources_) {
-    if (src.cells_in_flight == 0) continue;
-    for (uint32_t i = 0; i < src.cells.size(); ++i) {
-      PayloadCell& cell = src.cells[i];
-      if (!cell.in_flight || !cell.done) continue;
-      cell.in_flight = false;
-      cell.done = false;
-      if (src.free_cells.size() == src.free_cells.capacity()) ++src.allocs;
-      src.free_cells.push_back(i);
-      --src.cells_in_flight;
-    }
-  }
-}
-
 bool ShardGroup::PlanEpoch(SimTime& deadline) {
   SimTime start = SimTime::Max();
   for (Simulator* kernel : kernels_) {
@@ -172,7 +121,7 @@ void ShardGroup::RunKernel(uint32_t k, SimTime deadline) {
  * (acquire), deliver their inbox, run their kernel to the deadline, and
  * release-increment `arrived_`. The caller's acquire loop on `arrived_`
  * then receives all their writes before it touches shared state (mailbox
- * flips, arena sweeps, counters).
+ * flips, counters).
  */
 class ShardGroup::Runners {
  public:
@@ -296,14 +245,12 @@ bool ShardGroup::Advance(SimTime until, bool parallel) {
   };
   for (;;) {
     if (!epoch_open_) {
-      SweepArenas();
       SimTime deadline;
       if (!PlanEpoch(deadline)) {
         // Global quiesce: a final drain pops stale cancelled heap entries
         // (RunUntil stops scanning at its deadline), so kernels report a
         // clean quiesce.
         for (Simulator* kernel : kernels_) kernel->Run();
-        SweepArenas();
         return false;
       }
       SwapMailboxes();

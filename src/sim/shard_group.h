@@ -3,9 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -60,9 +57,8 @@ struct ShardEnvelope {
  * Hot-path design (DESIGN.md §14): a parallel Advance gives each kernel
  * a persistent runner parked on an atomic epoch-ticket barrier (one
  * barrier per epoch, not per-epoch thread-pool enqueues), and envelopes
- * carry 48-byte-SBO InlineFunction payloads with oversized captures
- * placed in per-source recycled arenas, so steady-state cross-shard
- * traffic performs zero heap allocations.
+ * carry their payloads inline in a 48-byte InlineFunction, so
+ * steady-state cross-shard traffic performs zero heap allocations.
  */
 class ShardGroup {
  public:
@@ -71,51 +67,28 @@ class ShardGroup {
    * outlive the group). `window` must be positive.
    */
   ShardGroup(std::vector<Simulator*> kernels, SimTime window);
-  ~ShardGroup();
 
   /**
    * Buffers a message from kernel `from` to kernel `to`. Must be called
    * from `from`'s runner (or between epochs); `deliver` must be at least
    * `window` past `from`'s clock so the barrier can honor it.
    *
-   * The payload is stored inline in the envelope when it fits the
-   * 48-byte small buffer; larger captures are placement-constructed in
-   * `from`'s arena, whose cells recycle once the payload has run — so a
-   * warmed-up exchange path allocates nothing (see exchange_allocs()).
+   * The payload is stored inline in the envelope, so a warmed-up exchange
+   * path allocates nothing (see exchange_allocs()). A capture larger than
+   * the 48-byte buffer does not compile: keep bulky state in a record the
+   * payload points to.
    */
   template <typename F>
   void Post(uint32_t from, uint32_t to, SimTime deliver, uint64_t lane,
             uint64_t seq, F&& payload) {
+    static_assert(Simulator::Callback::fits_inline<std::decay_t<F>>(),
+                  "ShardGroup payloads must fit the envelope inline");
     Source& src = sources_[from];
     std::vector<ShardEnvelope>& box = staging_[from * kernels_.size() + to];
     if (box.size() == box.capacity()) ++src.allocs;  // container growth
-    ShardEnvelope env;
-    env.deliver = deliver;
-    env.lane = lane;
-    env.seq = seq;
-    using Decayed = std::decay_t<F>;
-    if constexpr (Simulator::Callback::fits_inline<Decayed>()) {
-      env.payload = std::forward<F>(payload);
-    } else if constexpr (alignof(Decayed) <= alignof(std::max_align_t)) {
-      PayloadCell* cell = AcquireCell(src, sizeof(Decayed));
-      auto* obj = ::new (static_cast<void*>(cell->mem.get()))
-          Decayed(std::forward<F>(payload));
-      cell->destroy = [](void* p) { static_cast<Decayed*>(p)->~Decayed(); };
-      // The 16-byte wrapper always fits inline. `done` is a plain write:
-      // only the coordinator reads it, at a barrier that happens-after
-      // the firing epoch.
-      env.payload = [obj, cell]() {
-        (*obj)();
-        obj->~Decayed();
-        cell->done = true;
-      };
-    } else {
-      // Over-aligned callables are rare; let the wrapper heap-allocate.
-      ++src.allocs;
-      env.payload = Simulator::Callback(std::forward<F>(payload));
-    }
+    box.push_back(ShardEnvelope{deliver, lane, seq,
+                                Simulator::Callback(std::forward<F>(payload))});
     ++src.posted;
-    box.push_back(std::move(env));
   }
 
   /**
@@ -158,9 +131,9 @@ class ShardGroup {
    */
   size_t undelivered() const;
   /**
-   * Heap allocations attributable to the exchange path: mailbox growth,
-   * arena-cell growth, and oversized-payload fallbacks. A warmed-up
-   * steady state adds zero. Layout-dependent — never fold into digests.
+   * Heap allocations attributable to the exchange path (mailbox growth).
+   * A warmed-up steady state adds zero. Layout-dependent — never fold
+   * into digests.
    */
   uint64_t exchange_allocs() const;
   /**
@@ -172,20 +145,8 @@ class ShardGroup {
   uint64_t late_deliveries() const;
 
  private:
-  /** Arena cell for one oversized payload; address-stable via deque. */
-  struct PayloadCell {
-    std::unique_ptr<unsigned char[]> mem;
-    size_t capacity = 0;
-    void (*destroy)(void*) = nullptr;  // dtor-time cleanup if never fired
-    bool in_flight = false;
-    bool done = false;
-  };
-
-  /** Per-source state; only the source's runner writes it mid-epoch. */
+  /** Per-source counters; only the source's runner writes mid-epoch. */
   struct alignas(64) Source {
-    std::deque<PayloadCell> cells;
-    std::vector<uint32_t> free_cells;
-    uint32_t cells_in_flight = 0;
     uint64_t posted = 0;
     uint64_t allocs = 0;
   };
@@ -196,9 +157,6 @@ class ShardGroup {
     uint64_t late = 0;
   };
 
-  PayloadCell* AcquireCell(Source& src, size_t bytes);
-  /** Recycles arena cells whose payloads ran; coordinator only. */
-  void SweepArenas();
   /**
    * Computes the next epoch deadline from kernel next-event times and
    * staged run heads. Returns false on global quiesce. Coordinator only,

@@ -1,6 +1,5 @@
 #include "storage/lru_cache.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -40,9 +39,7 @@ bool LruCache::InWarmTail(uint64_t block_id) const {
   // Meaningful only for an id with no index entry: an installed id has
   // left the tail even while the cursor has not reached it.
   return warm_left_ > 0 && block_id >= warm_next_ &&
-         block_id < warm_limit_ && warm_member_(block_id) &&
-         !std::binary_search(warm_erased_.begin(), warm_erased_.end(),
-                             block_id);
+         block_id < warm_limit_ && warm_member_(block_id);
 }
 
 void LruCache::Unlink(uint32_t slot) {
@@ -212,25 +209,6 @@ bool LruCache::Insert(uint64_t block_id, uint64_t bytes) {
   return true;
 }
 
-bool LruCache::Erase(uint64_t block_id) {
-  const size_t cell = FindCell(block_id);
-  if (cell != kNpos) {
-    RemoveSlot(table_[cell] - 1);
-  } else if (InWarmTail(block_id)) {
-    DropFromTail();
-  } else {
-    return false;
-  }
-  // The cursor has not passed this id, so without a record it would read
-  // as a tail entry again.
-  if (InWarmTail(block_id)) {
-    warm_erased_.insert(std::upper_bound(warm_erased_.begin(),
-                                         warm_erased_.end(), block_id),
-                        block_id);
-  }
-  return true;
-}
-
 bool LruCache::Contains(uint64_t block_id) const {
   return FindCell(block_id) != kNpos || InWarmTail(block_id);
 }
@@ -251,7 +229,6 @@ void LruCache::Prewarm(uint64_t limit, uint64_t count, uint64_t bytes,
   warm_limit_ = limit;
   warm_bytes_ = bytes;
   warm_left_ = count;
-  warm_erased_.clear();
   used_bytes_ = count * bytes;
   // Ascending inserts evict their smallest ids until the rest fit.
   EvictUntilFits(0);
@@ -260,8 +237,7 @@ void LruCache::Prewarm(uint64_t limit, uint64_t count, uint64_t bytes,
 size_t LruCache::memory_bytes() const {
   return table_.capacity() * sizeof(uint32_t) +
          slots_.capacity() * sizeof(Slot) +
-         free_slots_.capacity() * sizeof(uint32_t) +
-         warm_erased_.capacity() * sizeof(uint64_t);
+         free_slots_.capacity() * sizeof(uint32_t);
 }
 
 double LruCache::HitRate() const {

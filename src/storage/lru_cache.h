@@ -45,15 +45,12 @@ class LruCache {
    */
   bool Insert(uint64_t block_id, uint64_t bytes);
 
-  /** Removes a block if present; returns true if it was resident. */
-  bool Erase(uint64_t block_id);
-
   /** Residency check without LRU promotion. */
   bool Contains(uint64_t block_id) const;
 
   /**
-   * Starts an empty cache warm: every observable (Touch/Insert/Erase
-   * results, Contains, used_bytes, entry_count, hits, misses, evictions)
+   * Starts an empty cache warm: every observable (Touch/Insert results,
+   * Contains, used_bytes, entry_count, hits, misses, evictions)
    * then follows the cache that Insert(id, bytes) of each id below `limit`
    * that `member` accepts, in ascending order, would have left — `count`
    * ids, which the caller has counted. No index entry is built: untouched
@@ -116,14 +113,15 @@ class LruCache {
 
   // The implicit warm tail, older than every installed entry: the ids in
   // [warm_next_, warm_limit_) that warm_member_ accepts, minus installed
-  // ones and warm_erased_ (sorted; ids erased before the cursor passed
-  // them), warm_bytes_ each. warm_left_ counts them; 0 means no tail.
+  // ones, warm_bytes_ each. warm_left_ counts them; 0 means no tail. An
+  // installed id leaves the cache only by eviction, which empties the
+  // tail before it takes any installed entry, so an id that is neither
+  // installed nor below the cursor is in the tail iff the filter takes it.
   WarmFilter warm_member_;
   uint64_t warm_next_ = 0;  // eviction cursor: no tail id lies below it
   uint64_t warm_limit_ = 0;
   uint64_t warm_bytes_ = 0;
   size_t warm_left_ = 0;
-  std::vector<uint64_t> warm_erased_;
 };
 
 }  // namespace hyperprof::storage

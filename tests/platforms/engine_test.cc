@@ -16,6 +16,7 @@ class EngineTest : public ::testing::Test {
   EngineTest()
       : rpc_(&simulator_, &network_, Rng(2)),
         dfs_(&simulator_, &rpc_, storage::DfsParams(), Rng(3)),
+        io_(&dfs_),
         tracer_(1, Rng(4)),  // trace everything
         profiler_(SimTime::Micros(200), 3e9, Rng(5)),
         registry_(profiling::BuildFleetRegistry()),
@@ -24,7 +25,7 @@ class EngineTest : public ::testing::Test {
   EngineContext Context() {
     EngineContext context;
     context.simulator = &simulator_;
-    context.dfs = &dfs_;
+    context.io = &io_;
     context.rpc = &rpc_;
     context.tracer = &tracer_;
     context.profiler = &profiler_;
@@ -62,6 +63,7 @@ class EngineTest : public ::testing::Test {
   net::NetworkModel network_;
   net::RpcSystem rpc_;
   storage::DistributedFileSystem dfs_;
+  DirectIoPort io_;
   profiling::Tracer tracer_;
   profiling::CpuProfiler profiler_;
   profiling::FunctionRegistry registry_;
@@ -131,11 +133,12 @@ TEST_F(EngineTest, DeterministicAcrossRuns) {
     net::RpcSystem rpc(&simulator, &network_, Rng(2));
     storage::DistributedFileSystem dfs(&simulator, &rpc,
                                        storage::DfsParams(), Rng(3));
+    DirectIoPort io(&dfs);
     profiling::Tracer tracer(1, Rng(4));
     profiling::CpuProfiler profiler(SimTime::Micros(200), 3e9, Rng(5));
     EngineContext context;
     context.simulator = &simulator;
-    context.dfs = &dfs;
+    context.io = &io;
     context.rpc = &rpc;
     context.tracer = &tracer;
     context.profiler = &profiler;

@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -661,6 +662,59 @@ TEST(ServeTest, FrontDoorDeterministicAcrossPumpChunking) {
   const auto coarse = run(SimTime::Millis(500));
   const auto fine = run(SimTime::Micros(700));
   EXPECT_EQ(coarse, fine);
+}
+
+// A daemon runs for its whole life, so the front door keeps a bounded
+// trace sample by default: after four reservoirs' worth of completions it
+// holds exactly one reservoir, and its breakdown equals that of a door
+// that retained every trace of the same admissions.
+TEST(ServeTest, FrontDoorBoundsRetainedTraces) {
+  FnSink sink([](uint64_t, const Response&) {});
+  auto run = [&sink](FrontDoorOptions options) {
+    const uint64_t count = 4 * options.fleet.trace_reservoir_capacity;
+    options.fleet.trace_sample_one_in = 1;  // sample every query
+    options.max_in_flight = count;          // shed nothing
+    auto door = std::make_unique<VirtualFrontDoor>(options);
+    door->AddPlatform(CheapSpec("a"));
+    door->Start();
+    door->set_sink(&sink);
+    for (uint64_t id = 0; id < count; ++id) {
+      Request request;
+      request.id = id;
+      request.kind = RequestKind::kQuery;
+      door->SubmitTicketed(request, /*ticket=*/id);
+      door->Pump(door->virtual_now() + SimTime::Micros(500));
+    }
+    door->Finish();
+    EXPECT_EQ(door->counters().completed, count);
+    return door;
+  };
+  FrontDoorOptions bounded;
+  const auto sample = run(bounded);
+  FrontDoorOptions unbounded;
+  unbounded.fleet.trace_retention = profiling::TraceRetention::kRetainAll;
+  const auto all = run(unbounded);
+
+  const size_t capacity = bounded.fleet.trace_reservoir_capacity;
+  EXPECT_EQ(sample->fleet().TracesOf(0).size(), capacity);
+  EXPECT_EQ(all->fleet().TracesOf(0).size(), 4 * capacity);
+  const profiling::E2eBreakdownReport a = sample->fleet().Result(0).e2e;
+  const profiling::E2eBreakdownReport b = all->fleet().Result(0).e2e;
+  auto expect_same = [](const profiling::GroupAggregate& x,
+                        const profiling::GroupAggregate& y) {
+    EXPECT_EQ(x.query_count, y.query_count);
+    EXPECT_EQ(x.time.cpu, y.time.cpu);
+    EXPECT_EQ(x.time.io, y.time.io);
+    EXPECT_EQ(x.time.remote, y.time.remote);
+    EXPECT_EQ(x.fraction_sum.cpu, y.fraction_sum.cpu);
+    EXPECT_EQ(x.fraction_sum.io, y.fraction_sum.io);
+    EXPECT_EQ(x.fraction_sum.remote, y.fraction_sum.remote);
+  };
+  for (size_t g = 0; g < a.groups.size(); ++g) {
+    expect_same(a.groups[g], b.groups[g]);
+  }
+  expect_same(a.overall, b.overall);
+  EXPECT_EQ(a.overall.query_count, 4 * capacity);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 // This binary replaces the global allocator with the counting shim in
 // testing/counting_new.h; it must stay its own test executable so the
 // override can't leak into other suites.
-#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <memory>
@@ -74,23 +73,6 @@ void PostHop(Harness* h, uint32_t from, uint64_t lane, uint64_t seq,
                        {h->kernels[to]->Now().nanos(), lane, seq});
                    if (remaining > 0) PostHop(h, to, lane, seq + 1,
                                               remaining - 1);
-                 });
-}
-
-/** Same chain, but every payload drags a 96-byte pad into the arena. */
-void PostFatHop(Harness* h, uint32_t from, uint64_t lane, uint64_t seq,
-                uint32_t remaining) {
-  uint32_t to = (from + 1) % static_cast<uint32_t>(h->kernels.size());
-  SimTime deliver = h->kernels[from]->Now() + kWindow;
-  std::array<unsigned char, 96> pad{};
-  pad[0] = static_cast<unsigned char>(seq);
-  h->group->Post(from, to, deliver, lane, seq,
-                 [h, to, lane, seq, remaining, pad] {
-                   h->logs[to].push_back(
-                       {h->kernels[to]->Now().nanos(), lane + pad[0] - pad[0],
-                        seq});
-                   if (remaining > 0) PostFatHop(h, to, lane, seq + 1,
-                                                 remaining - 1);
                  });
 }
 
@@ -243,25 +225,25 @@ TEST(ShardGroupTest, LateDeliveryIsCountedAndClampedToNow) {
   EXPECT_EQ(h.logs[1][0].at_nanos, clock.nanos());
 }
 
-// Oversized payloads land in per-source arena cells that recycle once the
-// payload has run: repeating the identical workload on a warmed-up group
-// must add no exchange allocations and no heap allocations at all.
+// Payloads ride inline in the envelopes, and mailboxes keep their
+// capacity: repeating the identical workload on a warmed-up group must
+// add no exchange allocations and no heap allocations at all.
 TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
   Harness h(2);
   auto workload = [&h] {
     for (uint64_t lane = 0; lane < 4; ++lane) {
       h.kernels[0]->Schedule(
           SimTime::Micros(static_cast<int64_t>(lane) * 40),
-          [harness = &h, lane] { PostFatHop(harness, 0, lane, 0, 9); });
+          [harness = &h, lane] { PostHop(harness, 0, lane, 0, 9); });
     }
   };
-  // Warm-up: grows mailboxes, arena cells, kernel slot tables, heaps.
-  // Serial throughout: runner threads would allocate.
+  // Warm-up: grows mailboxes, kernel slot tables, heaps. Serial
+  // throughout: runner threads would allocate.
   workload();
   h.group->Advance(SimTime::Max(), /*parallel=*/false);
   EXPECT_EQ(h.group->messages_delivered(), 40u);
   uint64_t warmed_allocs = h.group->exchange_allocs();
-  EXPECT_GT(warmed_allocs, 0u);  // the fat payloads did hit the arena
+  EXPECT_GT(warmed_allocs, 0u);  // the mailboxes did grow
   size_t warmed_log = h.logs[1].size();
 
   for (auto& log : h.logs) log.clear();
@@ -274,20 +256,6 @@ TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
   EXPECT_EQ(h.logs[1].size(), warmed_log);
   EXPECT_EQ(h.group->undelivered(), 0u);
   EXPECT_EQ(h.group->late_deliveries(), 0u);
-}
-
-// The inline path is alloc-free even on the very first run: small-capture
-// chains touch only containers, which retain capacity across runs.
-TEST(ShardGroupTest, InlinePayloadsSkipTheArena) {
-  Harness h(2);
-  StartChains(&h, 0, /*lanes=*/2, /*hops=*/5);
-  h.group->Advance(SimTime::Max(), /*parallel=*/false);
-  uint64_t after_first = h.group->exchange_allocs();
-  StartChains(&h, 0, /*lanes=*/2, /*hops=*/5);
-  h.group->Advance(SimTime::Max(), /*parallel=*/false);
-  // No arena cells and no further container growth on the second run.
-  EXPECT_EQ(h.group->exchange_allocs(), after_first);
-  EXPECT_EQ(h.group->messages_delivered(), 24u);
 }
 
 }  // namespace
