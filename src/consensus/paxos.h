@@ -2,12 +2,12 @@
 #define HYPERPROF_CONSENSUS_PAXOS_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/inline_function.h"
+#include "common/record_pool.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "net/rpc.h"
@@ -75,7 +75,7 @@ struct PaxosParams {
  */
 class PaxosGroup {
  public:
-  using ProposeCallback = std::function<void(const ProposeResult&)>;
+  using ProposeCallback = InlineFunction<void(const ProposeResult&)>;
 
   /**
    * @param acceptor_nodes Host placement of each acceptor (odd count
@@ -102,6 +102,15 @@ class PaxosGroup {
   size_t acceptor_count() const { return acceptor_nodes_.size(); }
   size_t majority() const { return acceptor_nodes_.size() / 2 + 1; }
 
+  /**
+   * Starts a fresh deployment on `acceptor_nodes`: acceptor state,
+   * parameters and stream are replaced as if the group were newly
+   * constructed, and its storage is kept. Every earlier proposal must
+   * have completed.
+   */
+  void Reset(const std::vector<net::NodeId>& acceptor_nodes,
+             PaxosParams params, Rng rng);
+
   /** The value a majority has accepted at the current instant, if any. */
   std::optional<std::string> ChosenValue() const;
 
@@ -110,12 +119,53 @@ class PaxosGroup {
   }
 
  private:
-  struct ProposerRun;
+  /** One acceptor's answer to the round in flight. */
+  struct AcceptorReply {
+    bool ok = false;
+    uint64_t promised_ballot = 0;  // on reject: what blocked us
+    uint64_t accepted_ballot = 0;  // on promise: prior acceptance, if any
+    std::string accepted_value;
+    bool has_accepted = false;
+  };
 
-  void StartAttempt(std::shared_ptr<ProposerRun> run);
-  void RunPhase2(std::shared_ptr<ProposerRun> run, uint64_t ballot,
+  /**
+   * One proposer. It runs one round (prepare or accept) at a time, so the
+   * round's progress and replies live here too.
+   */
+  struct ProposerRun {
+    net::NodeId node;
+    uint32_t proposer_id = 0;
+    std::string value;
+    ProposeCallback on_done;
+    SimTime started;
+    uint64_t round = 1;
+    int attempt = 0;
+    int phase1_round_trips = 0;
+    int phase2_round_trips = 0;
+    bool finished = false;
+    // The round in flight.
+    uint64_t ballot = 0;
+    size_t replies = 0;
+    size_t grants = 0;  // promises (phase 1) or accepts (phase 2)
+    uint64_t max_promised_seen = 0;
+    uint64_t best_accepted_ballot = 0;  // phase 1
+    std::string best_accepted_value;
+    bool saw_accepted = false;
+    std::string proposed;  // phase 2's value
+    std::vector<AcceptorReply> acceptor_replies;  // [acceptor]
+
+    void Recycle() { on_done = nullptr; }
+  };
+  using RunRef = RecordPool<ProposerRun>::Ref;
+
+  /** Starts a round: resets its progress and replies. */
+  void BeginRound(ProposerRun& run, uint64_t ballot);
+  void StartAttempt(const RunRef& run);
+  void OnPrepareReply(const RunRef& run, size_t acceptor);
+  void RunPhase2(const RunRef& run, uint64_t ballot,
                  const std::string& value);
-  void Retry(std::shared_ptr<ProposerRun> run);
+  void OnAcceptReply(const RunRef& run, size_t acceptor);
+  void Retry(const RunRef& run);
 
   sim::Simulator* simulator_;
   net::RpcSystem* rpc_;
@@ -123,6 +173,7 @@ class PaxosGroup {
   PaxosParams params_;
   Rng rng_;
   std::vector<AcceptorState> acceptors_;
+  RecordPool<ProposerRun> runs_;
 };
 
 }  // namespace hyperprof::consensus

@@ -1,9 +1,7 @@
 #include "net/rpc.h"
 
 #include <cmath>
-#include <memory>
 #include <utility>
-#include <vector>
 
 namespace hyperprof::net {
 
@@ -23,21 +21,12 @@ Rng& RpcSystem::ResilienceRng() {
                                  : fallback_resilience_rng_;
 }
 
-void RpcSystem::FailAfter(SimTime delay, std::shared_ptr<RpcResult> result,
-                          Completion on_complete) {
-  sim_->Schedule(delay, [this, result,
-                         on_complete = std::move(on_complete)]() {
-    result->completed_at = sim_->Now();
-    ++failed_calls_;
-    if (on_complete) on_complete(*result);
-  });
-}
-
 void RpcSystem::StartExchange(const NodeId& from, const NodeId& to,
-                              const RpcOptions& options, Handler handler,
-                              Completion on_complete, bool silent_drop) {
-  auto result = std::make_shared<RpcResult>();
-  result->issued_at = sim_->Now();
+                              const RpcOptions& options, ExchangeRef exchange,
+                              bool silent_drop) {
+  RpcResult& result = exchange->result;
+  result = RpcResult();
+  result.issued_at = sim_->Now();
 
   // Caller-supplied stream (sharded engines) or the system stream.
   Rng& draw_rng = options.rng != nullptr ? *options.rng : rng_;
@@ -45,7 +34,7 @@ void RpcSystem::StartExchange(const NodeId& from, const NodeId& to,
       network_->MessageTime(from, to, options.request_bytes, draw_rng);
   SimTime response_time =
       network_->MessageTime(to, from, options.response_bytes, draw_rng);
-  result->network_time = request_time + response_time;
+  result.network_time = request_time + response_time;
 
   // Fault draws happen strictly after the network draws, from the fault
   // model's private stream (or the caller's, when supplied): a disarmed
@@ -65,17 +54,13 @@ void RpcSystem::StartExchange(const NodeId& from, const NodeId& to,
       // gets the loss surfaced as an error after the round trip it would
       // have taken, so no caller can hang forever.
       if (silent_drop) return;
-      result->status = Status(fault.code, "rpc request dropped");
-      FailAfter(request_time + response_time, result,
-                std::move(on_complete));
-      return;
+      result.status = Status(fault.code, "rpc request dropped");
+      break;
     case FaultDecision::Kind::kError:
       // The server's front door rejects after request transport; the
       // (small) error response rides the drawn response time.
-      result->status = Status(fault.code, "rpc rejected by server");
-      FailAfter(request_time + response_time, result,
-                std::move(on_complete));
-      return;
+      result.status = Status(fault.code, "rpc rejected by server");
+      break;
     case FaultDecision::Kind::kSlow:
       // Degraded server: the response is delayed. Kept out of
       // network_time so the slowdown shows up as server-side tail, which
@@ -85,30 +70,54 @@ void RpcSystem::StartExchange(const NodeId& from, const NodeId& to,
     case FaultDecision::Kind::kNone:
       break;
   }
-
-  sim_->Schedule(request_time, [this, result, response_time,
-                                handler = std::move(handler),
-                                on_complete = std::move(on_complete)]() {
-    SimTime handler_start = sim_->Now();
-    handler([this, result, response_time, handler_start,
-             on_complete = std::move(on_complete)]() {
-      result->server_time = sim_->Now() - handler_start;
-      sim_->Schedule(response_time, [this, result,
-                                     on_complete = std::move(on_complete)]() {
-        result->completed_at = sim_->Now();
-        ++completed_calls_;
-        latency_hist_.Add(result->Total().ToSeconds());
-        if (on_complete) on_complete(*result);
-      });
-    });
+  if (!result.ok()) {
+    // The handler never runs.
+    exchange->handler = nullptr;
+    sim_->Schedule(request_time + response_time,
+                   [this, exchange = std::move(exchange)]() {
+                     Deliver(exchange, /*failed=*/true);
+                   });
+    return;
+  }
+  exchange->response_time = response_time;
+  sim_->Schedule(request_time, [this, exchange = std::move(exchange)]() {
+    Serve(exchange);
   });
+}
+
+void RpcSystem::Serve(const ExchangeRef& exchange) {
+  exchange->handler_start = sim_->Now();
+  exchange->handler(Responder(this, exchange));
+  exchange->handler = nullptr;
+}
+
+void RpcSystem::Respond(const ExchangeRef& exchange) {
+  exchange->result.server_time = sim_->Now() - exchange->handler_start;
+  sim_->Schedule(exchange->response_time, [this, exchange]() {
+    Deliver(exchange, /*failed=*/false);
+  });
+}
+
+void RpcSystem::Deliver(const ExchangeRef& exchange, bool failed) {
+  RpcResult& result = exchange->result;
+  result.completed_at = sim_->Now();
+  if (failed) {
+    ++failed_calls_;
+  } else {
+    ++completed_calls_;
+    latency_hist_.Add(result.Total().ToSeconds());
+  }
+  if (exchange->on_complete) exchange->on_complete(result);
 }
 
 void RpcSystem::Call(const NodeId& from, const NodeId& to,
                      const RpcOptions& options, Handler handler,
                      Completion on_complete) {
-  StartExchange(from, to, options, std::move(handler),
-                std::move(on_complete), /*silent_drop=*/false);
+  ExchangeRef exchange = exchanges_.Acquire();
+  exchange->handler = std::move(handler);
+  exchange->on_complete = std::move(on_complete);
+  StartExchange(from, to, options, std::move(exchange),
+                /*silent_drop=*/false);
 }
 
 void RpcSystem::CallFixed(const NodeId& from, const NodeId& to,
@@ -116,38 +125,11 @@ void RpcSystem::CallFixed(const NodeId& from, const NodeId& to,
                           Completion on_complete) {
   Call(
       from, to, options,
-      [this, server_time](std::function<void()> respond) {
+      [this, server_time](Responder respond) {
         sim_->Schedule(server_time, std::move(respond));
       },
       std::move(on_complete));
 }
-
-/**
- * State of one logical policy call. Kept alive by shared_ptr captures in
- * the per-attempt completions and timers; at most two attempts are ever
- * outstanding (current + hedge).
- */
-struct RpcSystem::PolicyCall {
-  NodeId from;
-  NodeId to;
-  std::string method;  // stable copy: retries outlive the caller's view
-  RpcOptions options;
-  RpcCallPolicy policy;
-  Handler handler;
-  PolicyCompletion on_complete;
-  RpcOutcome outcome;
-  bool completed = false;
-  sim::EventId hedge_timer;
-
-  struct Attempt {
-    SimTime issued_at;
-    sim::EventId timeout_timer;
-    bool finished = false;  // failed, timed out, or abandoned
-    bool is_hedge = false;
-  };
-  std::vector<Attempt> attempts;
-  uint32_t outstanding = 0;
-};
 
 void RpcSystem::CallWithPolicy(const NodeId& from, const NodeId& to,
                                const RpcOptions& options,
@@ -157,29 +139,31 @@ void RpcSystem::CallWithPolicy(const NodeId& from, const NodeId& to,
     // Single attempt, no timers, no extra draws: the wrapping below is
     // synchronous bookkeeping, so this path schedules exactly the events
     // the legacy Call would.
-    StartExchange(
-        from, to, options, std::move(handler),
-        [on_complete = std::move(on_complete)](const RpcResult& result) {
-          RpcOutcome outcome;
-          outcome.status = result.status;
-          outcome.result = result;
-          outcome.attempts = 1;
-          outcome.failures = result.ok() ? 0 : 1;
-          if (on_complete) on_complete(outcome);
-        },
-        /*silent_drop=*/false);
+    Call(from, to, options, std::move(handler),
+         [on_complete = std::move(on_complete)](
+             const RpcResult& result) mutable {
+           RpcOutcome outcome;
+           outcome.status = result.status;
+           outcome.result = result;
+           outcome.attempts = 1;
+           outcome.failures = result.ok() ? 0 : 1;
+           if (on_complete) on_complete(outcome);
+         });
     return;
   }
 
-  auto call = std::make_shared<PolicyCall>();
+  CallRef call = calls_.Acquire();
   call->from = from;
   call->to = to;
-  call->method = std::string(options.method);
   call->options = options;
-  call->options.method = call->method;
   call->policy = policy;
   call->handler = std::move(handler);
   call->on_complete = std::move(on_complete);
+  call->outcome = RpcOutcome();
+  call->completed = false;
+  call->hedge_timer = sim::EventId{};
+  call->attempts.clear();
+  call->outstanding = 0;
   IssueAttempt(call, /*is_hedge=*/false);
   if (policy.hedge_delay > SimTime::Zero()) {
     call->hedge_timer =
@@ -201,14 +185,13 @@ void RpcSystem::CallFixedWithPolicy(const NodeId& from, const NodeId& to,
                                     PolicyCompletion on_complete) {
   CallWithPolicy(
       from, to, options, policy,
-      [this, server_time](std::function<void()> respond) {
+      [this, server_time](Responder respond) {
         sim_->Schedule(server_time, std::move(respond));
       },
       std::move(on_complete));
 }
 
-void RpcSystem::IssueAttempt(std::shared_ptr<PolicyCall> call,
-                             bool is_hedge) {
+void RpcSystem::IssueAttempt(const CallRef& call, bool is_hedge) {
   size_t index = call->attempts.size();
   PolicyCall::Attempt attempt;
   attempt.issued_at = sim_->Now();
@@ -229,16 +212,21 @@ void RpcSystem::IssueAttempt(std::shared_ptr<PolicyCall> call,
         });
   }
   call->attempts.push_back(attempt);
-  StartExchange(
-      call->from, call->to, call->options, call->handler,
-      [this, call, index](const RpcResult& result) {
-        OnAttemptResult(call, index, result);
-      },
-      silent_drop);
+  // The exchange runs the call's own handler: one handler per logical
+  // call, however many attempts go out.
+  ExchangeRef exchange = exchanges_.Acquire();
+  exchange->handler = [call](Responder respond) {
+    call->handler(std::move(respond));
+  };
+  exchange->on_complete = [this, call, index](const RpcResult& result) {
+    OnAttemptResult(call, index, result);
+  };
+  StartExchange(call->from, call->to, call->options, std::move(exchange),
+                silent_drop);
 }
 
-void RpcSystem::OnAttemptResult(std::shared_ptr<PolicyCall> call,
-                                size_t index, const RpcResult& result) {
+void RpcSystem::OnAttemptResult(const CallRef& call, size_t index,
+                                const RpcResult& result) {
   PolicyCall::Attempt& attempt = call->attempts[index];
   // Late delivery from an abandoned or timed-out attempt: the call already
   // moved on; discarding here is what "cancelling the loser" means at the
@@ -259,8 +247,7 @@ void RpcSystem::OnAttemptResult(std::shared_ptr<PolicyCall> call,
   MaybeRetryOrFail(call, result.status);
 }
 
-void RpcSystem::OnAttemptTimeout(std::shared_ptr<PolicyCall> call,
-                                 size_t index) {
+void RpcSystem::OnAttemptTimeout(const CallRef& call, size_t index) {
   PolicyCall::Attempt& attempt = call->attempts[index];
   attempt.timeout_timer = sim::EventId{};
   if (call->completed || attempt.finished) return;
@@ -273,7 +260,7 @@ void RpcSystem::OnAttemptTimeout(std::shared_ptr<PolicyCall> call,
                    Status::DeadlineExceeded("rpc attempt timed out"));
 }
 
-void RpcSystem::MaybeRetryOrFail(std::shared_ptr<PolicyCall> call,
+void RpcSystem::MaybeRetryOrFail(const CallRef& call,
                                  const Status& failure) {
   // Another attempt (primary or hedge) is still racing: let it decide.
   if (call->outstanding > 0) return;
@@ -298,9 +285,8 @@ void RpcSystem::MaybeRetryOrFail(std::shared_ptr<PolicyCall> call,
   CompleteCall(call, failure, nullptr, 0);
 }
 
-void RpcSystem::CompleteCall(std::shared_ptr<PolicyCall> call,
-                             const Status& status, const RpcResult* winner,
-                             size_t winner_index) {
+void RpcSystem::CompleteCall(const CallRef& call, const Status& status,
+                             const RpcResult* winner, size_t winner_index) {
   call->completed = true;
   if (call->hedge_timer.valid()) {
     sim_->Cancel(call->hedge_timer);
@@ -336,8 +322,8 @@ void RpcSystem::CompleteCall(std::shared_ptr<PolicyCall> call,
   call->outcome.status = status;
   wasted_seconds_ += call->outcome.wasted_time.ToSeconds();
   if (call->on_complete) {
-    // Move the completion out so the PolicyCall can free even if a stale
-    // wire event still holds the shared state.
+    // Move the completion out so what it captures is released now, even
+    // if a stale wire event still holds the call.
     PolicyCompletion done = std::move(call->on_complete);
     call->on_complete = nullptr;
     done(call->outcome);

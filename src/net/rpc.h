@@ -2,11 +2,11 @@
 #define HYPERPROF_NET_RPC_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
 #include <string_view>
+#include <vector>
 
+#include "common/inline_function.h"
+#include "common/record_pool.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "common/stats.h"
@@ -22,7 +22,8 @@ struct RpcOptions {
   // Diagnostic method name ("spanner.Read"). A view, not a string: call
   // sites issue millions of RPCs with a fixed method population, so they
   // point at literals or pre-built strings that outlive the call instead
-  // of allocating a copy per RPC.
+  // of allocating a copy per RPC. A policy call keeps the view for its
+  // retries, so it must outlive the whole call.
   std::string_view method;
   uint64_t request_bytes = 0;   // wire size of the request
   uint64_t response_bytes = 0;  // wire size of the response
@@ -109,14 +110,92 @@ struct RpcOutcome {
  * as common::Status on RpcResult / RpcOutcome — a plain Call never hangs:
  * a dropped request with no policy above it completes with kUnavailable
  * once its round trip would have finished.
+ *
+ * The run path allocates nothing once warm: each wire exchange and each
+ * policy call lives in a record pooled by this system, and every kernel
+ * event and responder captures only the system and that record
+ * (DESIGN.md §18).
  */
 class RpcSystem {
- public:
-  /** Handler runs at the server; it must invoke `respond` exactly once. */
-  using Handler = std::function<void(std::function<void()> respond)>;
-  using Completion = std::function<void(const RpcResult&)>;
-  using PolicyCompletion = std::function<void(const RpcOutcome&)>;
+ private:
+  struct Exchange;
+  struct PolicyCall;
+  using ExchangeRef = RecordPool<Exchange>::Ref;
+  using CallRef = RecordPool<PolicyCall>::Ref;
 
+ public:
+  /**
+   * The server side's handle on one wire exchange: invoking it sends the
+   * response. Copyable, so a handler can pass it to a later event (it is
+   * a valid Simulator::Callback), but invoked exactly once.
+   */
+  class Responder {
+   public:
+    void operator()() const { system_->Respond(exchange_); }
+
+   private:
+    friend class RpcSystem;
+    Responder(RpcSystem* system, ExchangeRef exchange)
+        : system_(system), exchange_(std::move(exchange)) {}
+
+    RpcSystem* system_;
+    ExchangeRef exchange_;
+  };
+
+  /** Handler runs at the server; it must invoke `respond` exactly once. */
+  using Handler = InlineFunction<void(Responder respond)>;
+  using PolicyCompletion = InlineFunction<void(const RpcOutcome&)>;
+  // Room for a whole PolicyCompletion, which a plain policy call wraps.
+  using Completion =
+      InlineFunction<void(const RpcResult&), sizeof(PolicyCompletion)>;
+
+ private:
+  /** One wire exchange: request transport, handler, response transport. */
+  struct Exchange {
+    RpcResult result;
+    SimTime response_time;
+    SimTime handler_start;
+    Handler handler;  // cleared once it has run
+    Completion on_complete;
+
+    void Recycle() {
+      handler = nullptr;
+      on_complete = nullptr;
+    }
+  };
+
+  /**
+   * One logical policy call. Its timers and its attempts' exchanges hold
+   * it through CallRefs; at most two attempts are ever outstanding
+   * (current + hedge).
+   */
+  struct PolicyCall {
+    NodeId from;
+    NodeId to;
+    RpcOptions options;  // `method` is the caller's view (see RpcOptions)
+    RpcCallPolicy policy;
+    Handler handler;  // runs once per wire attempt
+    PolicyCompletion on_complete;
+    RpcOutcome outcome;
+    bool completed = false;
+    sim::EventId hedge_timer;
+
+    struct Attempt {
+      SimTime issued_at;
+      sim::EventId timeout_timer;
+      bool finished = false;  // failed, timed out, or abandoned
+      bool is_hedge = false;
+    };
+    std::vector<Attempt> attempts;
+    uint32_t outstanding = 0;
+
+    void Recycle() {
+      handler = nullptr;
+      on_complete = nullptr;
+    }
+  };
+
+ public:
   RpcSystem(sim::Simulator* sim, const NetworkModel* network, Rng rng);
 
   RpcSystem(const RpcSystem&) = delete;
@@ -194,29 +273,29 @@ class RpcSystem {
   }
 
  private:
-  struct PolicyCall;
-
   /**
-   * One wire exchange. `silent_drop` is set by policy attempts that own a
-   * timeout: an injected drop then delivers nothing (the timeout is the
-   * rescue). Otherwise a drop completes with an error after the full
-   * round-trip time so no caller can hang.
+   * One wire exchange of a record whose handler and completion are set.
+   * `silent_drop` is set by policy attempts that own a timeout: an
+   * injected drop then delivers nothing (the timeout is the rescue).
+   * Otherwise a drop completes with an error after the full round-trip
+   * time so no caller can hang.
    */
   void StartExchange(const NodeId& from, const NodeId& to,
-                     const RpcOptions& options, Handler handler,
-                     Completion on_complete, bool silent_drop);
+                     const RpcOptions& options, ExchangeRef exchange,
+                     bool silent_drop);
+  /** Request arrival: runs the handler at the server. */
+  void Serve(const ExchangeRef& exchange);
+  /** The handler's responder: sends the response back. */
+  void Respond(const ExchangeRef& exchange);
+  /** Completes the caller, `failed` on an injected drop or rejection. */
+  void Deliver(const ExchangeRef& exchange, bool failed);
 
-  /** Schedules a failure completion `delay` from now. */
-  void FailAfter(SimTime delay, std::shared_ptr<RpcResult> result,
-                 Completion on_complete);
-
-  void IssueAttempt(std::shared_ptr<PolicyCall> call, bool is_hedge);
-  void OnAttemptResult(std::shared_ptr<PolicyCall> call, size_t index,
+  void IssueAttempt(const CallRef& call, bool is_hedge);
+  void OnAttemptResult(const CallRef& call, size_t index,
                        const RpcResult& result);
-  void OnAttemptTimeout(std::shared_ptr<PolicyCall> call, size_t index);
-  void MaybeRetryOrFail(std::shared_ptr<PolicyCall> call,
-                        const Status& failure);
-  void CompleteCall(std::shared_ptr<PolicyCall> call, const Status& status,
+  void OnAttemptTimeout(const CallRef& call, size_t index);
+  void MaybeRetryOrFail(const CallRef& call, const Status& failure);
+  void CompleteCall(const CallRef& call, const Status& status,
                     const RpcResult* winner, size_t winner_index);
 
   /** Jitter draws come from the fault model's failure-path stream. */
@@ -238,6 +317,8 @@ class RpcSystem {
   uint64_t cancelled_attempts_ = 0;
   double wasted_seconds_ = 0;
   LogHistogram latency_hist_;
+  RecordPool<Exchange> exchanges_;
+  RecordPool<PolicyCall> calls_;
 };
 
 }  // namespace hyperprof::net

@@ -6,8 +6,11 @@
 #include <string>
 #include <vector>
 
+#include "common/record_pool.h"
 #include "common/rng.h"
+#include "consensus/paxos.h"
 #include "net/rpc.h"
+#include "platforms/shuffle.h"
 #include "platforms/spec.h"
 #include "profiling/function_registry.h"
 #include "profiling/sampler.h"
@@ -116,8 +119,13 @@ class PlatformEngine {
   PlatformEngine& operator=(const PlatformEngine&) = delete;
 
   /**
-   * Schedules `num_queries` arrivals at `arrival_rate_qps` and invokes
+   * Plans `num_queries` arrivals at `arrival_rate_qps` and invokes
    * `on_all_done` when the last completes. Call Simulator::Run afterwards.
+   * The kernel holds one planned arrival at a time, at the tie-break
+   * order it would have had if every arrival were scheduled now
+   * (Simulator::ReserveOrders). Aborts on a rate that is not positive,
+   * and on a call made before every arrival of the previous one has
+   * arrived.
    */
   void Run(uint64_t num_queries, double arrival_rate_qps,
            std::function<void()> on_all_done);
@@ -155,6 +163,16 @@ class PlatformEngine {
  private:
   struct QueryState;
 
+  /** One planned arrival of Run. */
+  struct Arrival {
+    SimTime when;
+    size_t type_index = 0;
+    // Sharded mode: the query's global index and its private stream,
+    // already advanced past the arrival and type draws.
+    uint64_t lane = 0;
+    Rng rng{0};
+  };
+
   /**
    * Per-phase continuation. InlineFunction with the simulator callback's
    * buffer size, so the standard completion closures (this + query +
@@ -169,8 +187,55 @@ class PlatformEngine {
     std::string method;  // "<platform>.<phase>", shared by every RPC
   };
 
+  /**
+   * An IO phase: waves of `parallelism` accesses, each wave issued when
+   * the previous one has completed.
+   */
+  struct IoWave {
+    std::shared_ptr<QueryState> query;
+    const IoPhaseSpec* phase = nullptr;
+    int remaining = 0;    // accesses not yet issued
+    int outstanding = 0;  // accesses of the current wave in flight
+    Done done;
+
+    void Recycle() {
+      query.reset();
+      done = nullptr;
+    }
+  };
+
+  /** A remote phase: one fan-out of RPCs, a shuffle or a Paxos round. */
+  struct RemoteOp {
+    std::shared_ptr<QueryState> query;
+    SimTime start;
+    profiling::NameId name = profiling::kInvalidNameId;
+    int outstanding = 0;  // fan-out RPCs in flight
+    Done done;
+    // Made on a record's first shuffle or Paxos round and reused after,
+    // so a reused record allocates nothing.
+    std::vector<net::NodeId> acceptors;
+    std::unique_ptr<ShuffleOperation> shuffle;
+    std::unique_ptr<consensus::PaxosGroup> paxos;
+
+    void Recycle() {
+      query.reset();
+      done = nullptr;
+    }
+  };
+
+  /** Phases that overlap: the query moves on once all of them are done. */
+  struct PhaseGroup {
+    std::shared_ptr<QueryState> query;
+    size_t next_phase = 0;
+    size_t outstanding = 0;
+
+    void Recycle() { query.reset(); }
+  };
+
   /** Pops a recycled QueryState (fields reset) or allocates a fresh one. */
   std::shared_ptr<QueryState> AcquireQueryState();
+  /** Puts plan_[index] into the kernel (or notes that the plan is done). */
+  void ReleaseArrival(size_t index);
   /** Shared tail of every fused admission: client draw, trace, phase 0. */
   void LaunchQuery(std::shared_ptr<QueryState> query);
   /** Batch-mode (fused) arrival of one query of type `type_index`. */
@@ -185,9 +250,13 @@ class PlatformEngine {
                        const ComputePhaseSpec& phase, Done done);
   void RunIoPhase(std::shared_ptr<QueryState> query, const IoPhaseSpec& phase,
                   Done done);
+  void IssueWave(const RecordPool<IoWave>::Ref& wave);
+  void OnIoDone(const RecordPool<IoWave>::Ref& wave, SimTime start,
+                const storage::IoResult& io);
   void RunRemotePhase(std::shared_ptr<QueryState> query,
                       const RemotePhaseSpec& phase,
                       const RemotePhaseInfo& info, Done done);
+  void FinishRemote(const RecordPool<RemoteOp>::Ref& op);
   void FinishQuery(std::shared_ptr<QueryState> query);
 
   double SampleLogNormalMean(Rng& rng, double mean, double sigma);
@@ -229,6 +298,14 @@ class PlatformEngine {
   // admission pops one back off, so a pipelined serving steady state
   // reuses the same handful of allocations forever.
   std::vector<std::shared_ptr<QueryState>> state_pool_;
+  // Per-phase records of in-flight queries.
+  RecordPool<IoWave> io_waves_;
+  RecordPool<RemoteOp> remote_ops_;
+  RecordPool<PhaseGroup> phase_groups_;
+  // Run's arrival plan; plan_[next_arrival_] is the one in the kernel.
+  std::vector<Arrival> plan_;
+  size_t next_arrival_ = 0;
+  uint64_t plan_order_ = 0;  // tie-break order reserved for plan_[0]
 };
 
 }  // namespace hyperprof::platforms

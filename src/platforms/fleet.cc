@@ -89,7 +89,13 @@ class ShardIoFabric : public IoPort {
           fabric->storage_index_, req->io.shard,
           fabric->kernels_[fabric->storage_index_]->Now() +
               fabric->group_->window(),
-          req->io.lane, req->io.seq, [req]() { req->on_done(req->result); });
+          req->io.lane, req->io.seq, [req]() {
+            req->on_done(req->result);
+            // The storage kernel may hold the last reference to `req`: drop
+            // the engine's callback here, on the worker that owns the
+            // records it points into.
+            req->on_done = nullptr;
+          });
     });
   }
 

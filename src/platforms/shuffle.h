@@ -2,10 +2,9 @@
 #define HYPERPROF_PLATFORMS_SHUFFLE_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <vector>
 
+#include "common/inline_function.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "net/rpc.h"
@@ -61,11 +60,13 @@ struct ShuffleResult {
 
 /**
  * Runs one shuffle between worker nodes. Mappers live on the caller's
- * cluster; reducers are spread over the region's clusters.
+ * cluster; reducers are spread over the region's clusters. The run's
+ * state lives in the operation, so a finished operation can be Reset and
+ * run again without allocating.
  */
 class ShuffleOperation {
  public:
-  using Callback = std::function<void(const ShuffleResult&)>;
+  using Callback = InlineFunction<void(const ShuffleResult&)>;
 
   ShuffleOperation(sim::Simulator* simulator, net::RpcSystem* rpc,
                    ShuffleParams params, Rng rng);
@@ -76,18 +77,45 @@ class ShuffleOperation {
   /**
    * Starts the shuffle; `on_done` fires when every reducer has ingested
    * all of its streams and merged. The object must stay alive until the
-   * callback fires (hold it in a shared_ptr captured by the caller).
+   * callback fires, and runs one shuffle at a time.
    */
   void Run(const net::NodeId& coordinator, Callback on_done);
 
+  /**
+   * Re-arms a finished operation with new parameters and stream, as if
+   * newly constructed, keeping its storage.
+   */
+  void Reset(ShuffleParams params, Rng rng);
+
  private:
-  /** Splits one mapper's bytes over reducers with the configured skew. */
-  std::vector<uint64_t> PartitionBytes();
+  /** One mapper-to-reducer stream. */
+  struct Stream {
+    net::NodeId mapper;
+    int reducer = 0;
+    uint64_t bytes = 0;
+  };
+
+  /** Splits one mapper's bytes over reducers into `split_`. */
+  void PartitionBytes();
+  void SendStream(size_t index);
+  void OnStreamLanded(int reducer);
 
   sim::Simulator* simulator_;
   net::RpcSystem* rpc_;
   ShuffleParams params_;
   Rng rng_;
+  // The run in flight.
+  SimTime started_;
+  uint64_t total_bytes_ = 0;
+  std::vector<net::NodeId> reducers_;
+  std::vector<uint64_t> reducer_bytes_;
+  std::vector<SimTime> reducer_ready_;  // when the last stream lands
+  std::vector<Stream> streams_;
+  size_t streams_remaining_ = 0;
+  Callback on_done_;
+  // PartitionBytes scratch.
+  std::vector<double> weights_;
+  std::vector<uint64_t> split_;
 };
 
 }  // namespace hyperprof::platforms

@@ -90,7 +90,10 @@ void FrameDecoder::CommitBytes(size_t size) {
 }
 
 void FrameDecoder::Feed(const uint8_t* data, size_t size) {
-  if (failed()) return;
+  // An empty feed copies nothing, and into an empty decoder memcpy would
+  // get a null destination (and may get a null source), which is
+  // undefined even for zero bytes.
+  if (failed() || size == 0) return;
   uint8_t* dst = WritableSpan(size);
   std::memcpy(dst, data, size);
   CommitBytes(size);

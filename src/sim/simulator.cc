@@ -21,6 +21,17 @@ EventId Simulator::Schedule(SimTime delay, Callback fn) {
 }
 
 EventId Simulator::ScheduleAt(SimTime when, Callback fn) {
+  return ScheduleAtOrder(when, next_order_++, std::move(fn));
+}
+
+uint64_t Simulator::ReserveOrders(uint64_t count) {
+  const uint64_t first = next_order_;
+  next_order_ += count;
+  return first;
+}
+
+EventId Simulator::ScheduleAtOrder(SimTime when, uint64_t order,
+                                   Callback fn) {
   if (when < now_) when = now_;
   uint32_t slot;
   if (!free_slots_.empty()) {
@@ -32,7 +43,7 @@ EventId Simulator::ScheduleAt(SimTime when, Callback fn) {
   }
   Slot& cell = slots_[slot];
   cell.fn = std::move(fn);
-  heap_.push_back(HeapEntry{when, next_order_++, slot, cell.gen});
+  heap_.push_back(HeapEntry{when, order, slot, cell.gen});
   std::push_heap(heap_.begin(), heap_.end(), After{});
   ++live_events_;
   return EventId{EncodeId(slot, cell.gen)};

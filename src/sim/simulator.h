@@ -23,7 +23,9 @@ struct EventId {
  *
  * Events are callbacks ordered by (timestamp, insertion sequence), so two
  * events at the same instant fire in the order they were scheduled — the
- * property that makes whole-fleet runs reproducible. The kernel is
+ * property that makes whole-fleet runs reproducible. (A plan released
+ * lazily keeps the sequence numbers it reserved up front; see
+ * ReserveOrders.) The kernel is
  * single-threaded by design; parallelism in the modeled system is expressed
  * as interleaved events, not host threads. (Host-level parallelism runs
  * independent Simulator instances side by side — see
@@ -52,6 +54,18 @@ class Simulator {
 
   /** Schedules `fn` at absolute time `when` (clamped to Now()). */
   EventId ScheduleAt(SimTime when, Callback fn);
+
+  /**
+   * Reserves `count` consecutive tie-break orders and returns the first.
+   * With ScheduleAtOrder, a plan of future events can enter the heap one
+   * at a time and still pop exactly as if every event had been scheduled
+   * at the reservation: each keeps the order it would have had, so it
+   * fires before any event scheduled later at the same instant.
+   */
+  uint64_t ReserveOrders(uint64_t count);
+
+  /** ScheduleAt at an `order` taken from ReserveOrders. */
+  EventId ScheduleAtOrder(SimTime when, uint64_t order, Callback fn);
 
   /**
    * Cancels a pending event; returns true if it had not yet fired. O(1):

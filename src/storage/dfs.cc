@@ -79,9 +79,13 @@ size_t DistributedFileSystem::memory_bytes() const {
 void DistributedFileSystem::Read(const net::NodeId& client, uint64_t block_id,
                                  uint64_t bytes, ReadCallback on_done) {
   uint32_t server_index = HomeServer(block_id);
-  TieredStore* store = stores_[server_index].get();
-  auto result = std::make_shared<IoResult>();
-  SimTime start = sim_->Now();
+  RecordPool<ReadOp>::Ref op = reads_.Acquire();
+  op->result = IoResult();
+  op->start = sim_->Now();
+  op->store = stores_[server_index].get();
+  op->block_id = block_id;
+  op->bytes = bytes;
+  op->on_done = std::move(on_done);
 
   net::RpcOptions options;
   options.method = "dfs.Read";
@@ -93,41 +97,26 @@ void DistributedFileSystem::Read(const net::NodeId& client, uint64_t block_id,
   // see the real amplification caused by the fault.
   rpc_->CallWithPolicy(
       client, ServerNode(server_index), options, params_.read_policy,
-      [this, store, block_id, bytes, result](std::function<void()> respond) {
-        AccessResult access = store->Read(block_id, bytes, rng_);
-        result->served_by = access.served_by;
-        result->device_time = access.device_time;
+      [this, op](net::RpcSystem::Responder respond) {
+        AccessResult access = op->store->Read(op->block_id, op->bytes, rng_);
+        op->result.served_by = access.served_by;
+        op->result.device_time = access.device_time;
         sim_->Schedule(access.device_time + params_.server_cpu_per_request,
                        std::move(respond));
       },
-      [this, start, result, on_done = std::move(on_done)](
-          const net::RpcOutcome& outcome) {
-        result->status = outcome.status;
-        result->total_time = sim_->Now() - start;
-        result->network_time = outcome.result.network_time;
-        result->attempts = outcome.attempts;
-        result->hedged = outcome.hedged;
-        result->wasted_time = outcome.wasted_time;
+      [this, op](const net::RpcOutcome& outcome) {
+        IoResult& result = op->result;
+        result.status = outcome.status;
+        result.total_time = sim_->Now() - op->start;
+        result.network_time = outcome.result.network_time;
+        result.attempts = outcome.attempts;
+        result.hedged = outcome.hedged;
+        result.wasted_time = outcome.wasted_time;
         if (!outcome.ok()) ++failed_reads_;
-        on_done(*result);
+        ReadCallback done = std::move(op->on_done);
+        done(result);
       });
 }
-
-/**
- * Shared progress of one replicated write. Kept alive by the per-replica
- * completions so stragglers can keep counting after the quorum has already
- * completed the caller.
- */
-struct DistributedFileSystem::WriteState {
-  IoResult result;
-  uint32_t replication = 0;
-  uint32_t quorum = 0;
-  uint32_t acks = 0;
-  uint32_t failures = 0;
-  uint32_t extra_attempts = 0;  // retries + hedges summed over replicas
-  bool completed = false;
-  ReadCallback on_done;
-};
 
 void DistributedFileSystem::Write(const net::NodeId& client,
                                   uint64_t block_id, uint64_t bytes,
@@ -141,7 +130,6 @@ void DistributedFileSystem::Write(const net::NodeId& client,
                                   uint64_t block_id, uint64_t bytes,
                                   uint32_t replication, uint32_t quorum_acks,
                                   ReadCallback on_done) {
-  SimTime start = sim_->Now();
   if (replication == 0) {
     // Reject rather than assert: the assert compiled out in release builds
     // and a zero-count barrier would have completed the caller before the
@@ -149,7 +137,7 @@ void DistributedFileSystem::Write(const net::NodeId& client,
     // path so callers cannot observe a same-stack callback.
     ++invalid_writes_;
     sim_->Schedule(SimTime::Zero(),
-                   [on_done = std::move(on_done)]() {
+                   [on_done = std::move(on_done)]() mutable {
                      IoResult result;
                      result.status = Status::InvalidArgument(
                          "dfs.Write requires replication >= 1");
@@ -164,11 +152,19 @@ void DistributedFileSystem::Write(const net::NodeId& client,
                         : std::min(quorum_acks, replication);
   uint32_t first = HomeServer(block_id);
 
-  auto state = std::make_shared<WriteState>();
-  state->result.served_by = Tier::kSsd;  // durable log append tier
-  state->replication = replication;
-  state->quorum = quorum;
-  state->on_done = std::move(on_done);
+  RecordPool<WriteOp>::Ref op = writes_.Acquire();
+  op->result = IoResult();
+  op->result.served_by = Tier::kSsd;  // durable log append tier
+  op->start = sim_->Now();
+  op->block_id = block_id;
+  op->bytes = bytes;
+  op->replication = replication;
+  op->quorum = quorum;
+  op->acks = 0;
+  op->failures = 0;
+  op->extra_attempts = 0;
+  op->completed = false;
+  op->on_done = std::move(on_done);
 
   for (uint32_t r = 0; r < replication; ++r) {
     uint32_t server_index = (first + r) % params_.num_fileservers;
@@ -179,54 +175,54 @@ void DistributedFileSystem::Write(const net::NodeId& client,
     options.response_bytes = 64;  // ack
     rpc_->CallWithPolicy(
         client, ServerNode(server_index), options, params_.write_policy,
-        [this, store, block_id, bytes,
-         state](std::function<void()> respond) {
-          AccessResult access = store->Write(block_id, bytes, rng_);
+        [this, store, op](net::RpcSystem::Responder respond) {
+          AccessResult access = store->Write(op->block_id, op->bytes, rng_);
           // Record the slowest replica's media time.
-          if (access.device_time > state->result.device_time) {
-            state->result.device_time = access.device_time;
+          if (access.device_time > op->result.device_time) {
+            op->result.device_time = access.device_time;
           }
           sim_->Schedule(access.device_time + params_.server_cpu_per_request,
                          std::move(respond));
         },
-        [this, start, state](const net::RpcOutcome& outcome) {
-          state->extra_attempts += outcome.attempts - 1;
-          if (outcome.hedged) state->result.hedged = true;
-          state->result.wasted_time += outcome.wasted_time;
+        [this, op](const net::RpcOutcome& outcome) {
+          WriteOp& state = *op;
+          state.extra_attempts += outcome.attempts - 1;
+          if (outcome.hedged) state.result.hedged = true;
+          state.result.wasted_time += outcome.wasted_time;
           if (outcome.ok()) {
-            ++state->acks;
-            if (outcome.result.network_time > state->result.network_time) {
-              state->result.network_time = outcome.result.network_time;
+            ++state.acks;
+            if (outcome.result.network_time > state.result.network_time) {
+              state.result.network_time = outcome.result.network_time;
             }
-            if (state->completed) {
+            if (state.completed) {
               // Straggler replica finishing after the quorum released the
               // caller — the background tail of a quorum-append log.
               ++background_acks_;
               return;
             }
-            if (state->acks >= state->quorum) {
-              state->completed = true;
-              state->result.status = Status::Ok();
-              state->result.acks = state->acks;
-              state->result.attempts = 1 + state->extra_attempts;
-              state->result.total_time = sim_->Now() - start;
-              state->on_done(state->result);
+            if (state.acks >= state.quorum) {
+              state.completed = true;
+              state.result.status = Status::Ok();
+              state.result.acks = state.acks;
+              state.result.attempts = 1 + state.extra_attempts;
+              state.result.total_time = sim_->Now() - state.start;
+              state.on_done(state.result);
             }
             return;
           }
-          ++state->failures;
-          if (state->completed) return;
+          ++state.failures;
+          if (state.completed) return;
           // Quorum unreachable: more replicas are dead than the write can
           // tolerate. Fail now instead of waiting for the rest.
-          if (state->failures > state->replication - state->quorum) {
-            state->completed = true;
+          if (state.failures > state.replication - state.quorum) {
+            state.completed = true;
             ++failed_writes_;
-            state->result.status = Status::Unavailable(
+            state.result.status = Status::Unavailable(
                 "dfs.Write quorum unreachable: " + outcome.status.message());
-            state->result.acks = state->acks;
-            state->result.attempts = 1 + state->extra_attempts;
-            state->result.total_time = sim_->Now() - start;
-            state->on_done(state->result);
+            state.result.acks = state.acks;
+            state.result.attempts = 1 + state.extra_attempts;
+            state.result.total_time = sim_->Now() - state.start;
+            state.on_done(state.result);
           }
         });
   }

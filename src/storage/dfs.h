@@ -2,10 +2,11 @@
 #define HYPERPROF_STORAGE_DFS_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "common/inline_function.h"
+#include "common/record_pool.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
 #include "common/status.h"
@@ -61,7 +62,7 @@ struct DfsParams {
  */
 class DistributedFileSystem {
  public:
-  using ReadCallback = std::function<void(const IoResult&)>;
+  using ReadCallback = InlineFunction<void(const IoResult&)>;
 
   DistributedFileSystem(sim::Simulator* sim, net::RpcSystem* rpc,
                         DfsParams params, Rng rng);
@@ -130,7 +131,38 @@ class DistributedFileSystem {
   uint64_t background_acks() const { return background_acks_; }
 
  private:
-  struct WriteState;
+  /** One read: its result and caller, shared by handler and completion. */
+  struct ReadOp {
+    IoResult result;
+    SimTime start;
+    TieredStore* store = nullptr;
+    uint64_t block_id = 0;
+    uint64_t bytes = 0;
+    ReadCallback on_done;
+
+    void Recycle() { on_done = nullptr; }
+  };
+
+  /**
+   * Shared progress of one replicated write. Kept alive by the per-replica
+   * completions so stragglers can keep counting after the quorum has
+   * already completed the caller.
+   */
+  struct WriteOp {
+    IoResult result;
+    SimTime start;
+    uint64_t block_id = 0;
+    uint64_t bytes = 0;
+    uint32_t replication = 0;
+    uint32_t quorum = 0;
+    uint32_t acks = 0;
+    uint32_t failures = 0;
+    uint32_t extra_attempts = 0;  // retries + hedges summed over replicas
+    bool completed = false;
+    ReadCallback on_done;
+
+    void Recycle() { on_done = nullptr; }
+  };
 
   net::NodeId ServerNode(uint32_t index) const;
 
@@ -143,6 +175,8 @@ class DistributedFileSystem {
   uint64_t failed_reads_ = 0;
   uint64_t failed_writes_ = 0;
   uint64_t background_acks_ = 0;
+  RecordPool<ReadOp> reads_;
+  RecordPool<WriteOp> writes_;
 };
 
 }  // namespace hyperprof::storage

@@ -178,6 +178,27 @@ TEST(FrameFuzzTest, SingleBitFlipsNeverYieldAForgedFrame) {
   }
 }
 
+TEST(FrameDecoderTest, ZeroLengthFeedIntoEmptyDecoder) {
+  // A zero-length feed into a decoder that has buffered nothing is a
+  // no-op: with a null source too, and with a real one.
+  std::vector<uint8_t> payload = {7, 8, 9};
+  std::vector<uint8_t> stream;
+  EncodeFrame(payload.data(), payload.size(), stream);
+
+  FrameDecoder decoder;
+  decoder.Feed(nullptr, 0);
+  decoder.Feed(stream.data(), 0);
+  EXPECT_FALSE(decoder.HasPartial());
+  std::vector<uint8_t> out;
+  EXPECT_EQ(decoder.Next(&out), FrameDecoder::Status::kNeedMore);
+
+  // The stream still decodes normally afterwards.
+  decoder.Feed(stream.data(), stream.size());
+  ASSERT_EQ(decoder.Next(&out), FrameDecoder::Status::kFrame);
+  EXPECT_EQ(out, payload);
+  EXPECT_EQ(decoder.frames_decoded(), 1u);
+}
+
 TEST(FrameFuzzTest, ErrorsAreStickyAcrossFurtherFeeds) {
   std::vector<uint8_t> payload = {1, 2, 3, 4};
   std::vector<uint8_t> stream;

@@ -1,6 +1,7 @@
 #include "platforms/engine.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include <gtest/gtest.h>
 
@@ -77,6 +78,17 @@ TEST_F(EngineTest, CompletesAllQueries) {
   simulator_.Run();
   EXPECT_TRUE(all_done);
   EXPECT_EQ(engine.queries_completed(), 50u);
+}
+
+TEST_F(EngineTest, RunAbortsOnNonPositiveArrivalRate) {
+  // Checked in every build: a zero, negative or NaN rate would make every
+  // arrival gap infinite, negative or NaN, the kernel would clamp each
+  // arrival to now, and the run would "complete" every query at once.
+  PlatformEngine engine(Context(), SimpleSpec(), Rng(7));
+  EXPECT_DEATH(engine.Run(200, 0.0, [] {}), "arrival_rate_qps is 0");
+  EXPECT_DEATH(engine.Run(200, -5.0, [] {}), "arrival_rate_qps is -5");
+  EXPECT_DEATH(engine.Run(200, std::nan(""), [] {}),
+               "arrival_rate_qps is -?nan");
 }
 
 TEST_F(EngineTest, EveryTraceHasAllPhaseKinds) {

@@ -9,12 +9,16 @@
 // override can't leak into other suites. HYPERPROF_TRAP_ALLOC=1 dumps a
 // backtrace of each allocation inside the measured window.
 //
-// The platform spec is crafted so the *engine* is also allocation-free in
-// steady state: a single compute phase whose mean is far below the
-// activity decomposition floor (no profiler activity draws), no worker
-// pool (the finite-pool path rides a shared_ptr through sim::Resource),
-// and a tracer sampling period larger than the test's traffic (no span
-// storage). The daemon side needs no such staging — its zero-alloc
+// Two specs run behind the daemon. The crafted one is a single compute
+// phase whose mean is far below the activity decomposition floor (no
+// profiler activity draws) with no worker pool (the finite-pool path
+// rides a shared_ptr through sim::Resource). SpannerSpec() runs the
+// paper's full query path — compute activities, DFS reads and quorum
+// writes, Paxos rounds, RPC fan-outs — which is allocation-free once warm
+// (DESIGN.md §18). Both leave output storage out: the tracer's sampling
+// period is larger than the test's traffic (no span storage), and for
+// Spanner the profiler's period is longer than the run (no stored
+// samples). The daemon side needs no such staging — its zero-alloc
 // guarantee is unconditional and separately accounted by serve_allocs().
 
 #include <errno.h>
@@ -26,6 +30,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -55,14 +60,26 @@ platforms::PlatformSpec SteadySpec() {
 }
 
 /**
+ * The paper's Spanner behind a small block space: the warm-up then
+ * installs every block its caches will hold, so their indexes stop
+ * growing (engine_alloc_test explains the sizing).
+ */
+platforms::PlatformSpec SmallSpannerSpec() {
+  platforms::PlatformSpec spec = platforms::SpannerSpec();
+  spec.block_space = 1 << 6;
+  return spec;
+}
+
+/**
  * Single-threaded harness: the test thread drives daemon.RunOnce()
  * itself, so the global allocation counter observes exactly the
  * client+daemon+engine work of each cycle.
  */
 class SteadyStateHarness {
  public:
-  SteadyStateHarness() : daemon_(HarnessOptions()) {
-    daemon_.AddPlatform(SteadySpec());
+  explicit SteadyStateHarness(platforms::PlatformSpec spec = SteadySpec())
+      : daemon_(HarnessOptions()) {
+    daemon_.AddPlatform(std::move(spec));
     EXPECT_TRUE(daemon_.Listen());
 
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -97,8 +114,10 @@ class SteadyStateHarness {
     // RunOnce(1) wait.
     options.virtual_seconds_per_wall_second = 1000.0;
     options.front_door.max_in_flight = 16;
-    // Never trace-sample: sampled queries allocate span storage.
+    // Never trace-sample: sampled queries allocate span storage. Never
+    // profile-sample either: each sample is stored.
     options.front_door.fleet.trace_sample_one_in = 1 << 30;
+    options.front_door.fleet.profiler_period = SimTime::Seconds(1000);
     return options;
   }
 
@@ -180,6 +199,33 @@ TEST(ServeAllocTest, WarmedQueryCyclesAllocateNothing) {
   EXPECT_EQ(allocs, 0u) << "global allocator saw " << allocs
                         << " allocations across " << kCycles
                         << " steady-state query cycles";
+}
+
+TEST(ServeAllocTest, WarmedSpannerQueryCyclesAllocateNothing) {
+  SteadyStateHarness harness(SmallSpannerSpec());
+
+  // Warmup: long enough for the engine, DFS, RPC and Paxos pools to reach
+  // their high-water marks and for the caches to install the 64 blocks.
+  for (int i = 0; i < 2048; ++i) {
+    ASSERT_TRUE(harness.Cycle(RequestKind::kQuery)) << "warmup cycle " << i;
+  }
+
+  const uint64_t allocs_before =
+      g_allocation_count.load(std::memory_order_relaxed);
+  if (std::getenv("HYPERPROF_TRAP_ALLOC")) g_trap_on_alloc.store(true);
+  int ok = 0;
+  constexpr int kCycles = 256;
+  for (int i = 0; i < kCycles; ++i) {
+    if (harness.Cycle(RequestKind::kQuery)) ++ok;
+  }
+  g_trap_on_alloc.store(false);
+  const uint64_t allocs =
+      g_allocation_count.load(std::memory_order_relaxed) - allocs_before;
+
+  EXPECT_EQ(ok, kCycles);
+  EXPECT_EQ(allocs, 0u) << "global allocator saw " << allocs
+                        << " allocations across " << kCycles
+                        << " steady-state Spanner query cycles";
 }
 
 TEST(ServeAllocTest, WarmedStatsCyclesAllocateNothing) {

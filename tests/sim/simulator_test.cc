@@ -1,12 +1,62 @@
 #include "sim/simulator.h"
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace hyperprof::sim {
 namespace {
+
+/**
+ * Runs an arrival plan — two arrivals share t=2us — whose arrivals also
+ * schedule events mid-run: arrival 0 one that lands exactly on the next
+ * arrival's instant, arrival 1 one at its own instant. Up front, every
+ * arrival is scheduled before the run; lazily, the plan reserves its
+ * orders and each arrival releases the next one when it fires, as
+ * PlatformEngine::Run does. Returns the firing order.
+ */
+std::vector<std::string> RunArrivalPlan(bool lazy) {
+  const std::vector<SimTime> plan = {SimTime::Micros(1), SimTime::Micros(2),
+                                     SimTime::Micros(2), SimTime::Micros(3)};
+  Simulator simulator;
+  std::vector<std::string> log;
+  uint64_t first_order = 0;
+  std::function<void(size_t)> arrive = [&](size_t i) {
+    if (lazy && i + 1 < plan.size()) {
+      simulator.ScheduleAtOrder(plan[i + 1], first_order + i + 1,
+                                [&arrive, i] { arrive(i + 1); });
+    }
+    log.push_back("a" + std::to_string(i));
+    if (i == 0) {
+      simulator.ScheduleAt(plan[1], [&] { log.push_back("m"); });
+    }
+    if (i == 1) {
+      simulator.Schedule(SimTime::Zero(), [&] { log.push_back("n"); });
+    }
+  };
+  if (lazy) {
+    first_order = simulator.ReserveOrders(plan.size());
+    simulator.ScheduleAtOrder(plan[0], first_order, [&] { arrive(0); });
+  } else {
+    for (size_t i = 0; i < plan.size(); ++i) {
+      simulator.ScheduleAt(plan[i], [&arrive, i] { arrive(i); });
+    }
+  }
+  simulator.Run();
+  return log;
+}
+
+TEST(SimulatorTest, ReservedOrdersReplayAnUpFrontPlan) {
+  // Same-instant arrivals keep plan order, and events scheduled mid-run
+  // at an arrival's instant fire after it, however the plan is released.
+  const std::vector<std::string> expected = {"a0", "a1", "a2",
+                                             "m",  "n",  "a3"};
+  EXPECT_EQ(RunArrivalPlan(/*lazy=*/false), expected);
+  EXPECT_EQ(RunArrivalPlan(/*lazy=*/true), expected);
+}
 
 TEST(SimulatorTest, RunsEventsInTimeOrder) {
   Simulator simulator;
