@@ -11,34 +11,12 @@
 
 #include "common/strings.h"
 #include "common/table.h"
-#include "core/accel_model.h"
 #include "core/parallel_sweep.h"
 #include "soc/chained_soc.h"
 
 using namespace hyperprof;
 
 namespace {
-
-double ModeledChained(const soc::ChainedSocSim& sim,
-                      const soc::SocRunResult& unaccel) {
-  model::Workload workload;
-  workload.t_cpu = unaccel.total.ToSeconds();
-  workload.f = 1.0;
-  model::Component serialize;
-  serialize.name = "ser";
-  serialize.t_sub = unaccel.serialize_time.ToSeconds();
-  serialize.speedup = sim.config().serialize_speedup;
-  serialize.t_setup = sim.config().serialize_setup.ToSeconds();
-  serialize.chained = true;
-  model::Component hash;
-  hash.name = "sha3";
-  hash.t_sub = unaccel.hash_time.ToSeconds();
-  hash.speedup = sim.config().hash_speedup;
-  hash.t_setup = sim.config().hash_setup.ToSeconds();
-  hash.chained = true;
-  workload.components = {serialize, hash};
-  return model::AccelModel(workload).AcceleratedE2e();
-}
 
 void PrintAblation() {
   std::printf("=== Ablation: Chaining Granularity vs the Eq. 10 Bound "
@@ -70,7 +48,7 @@ void PrintAblation() {
     soc::ChainedSocSim sim(config);
     auto unaccel = sim.RunUnaccelerated(batch);
     auto chained = sim.RunChained(batch);
-    double modeled = ModeledChained(sim, unaccel);
+    double modeled = sim.ModeledChained(unaccel);
     double measured = chained.total.ToSeconds();
     return std::vector<std::string>{
         StrFormat("%zu", point.count),

@@ -14,7 +14,6 @@
 
 #include "common/strings.h"
 #include "common/table.h"
-#include "core/accel_model.h"
 #include "soc/chained_soc.h"
 #include "soc/host_pipeline.h"
 #include "workloads/protowire/synthetic.h"
@@ -34,25 +33,7 @@ void PrintTable8() {
   soc::ChainedSocSim sim(config);
   auto unaccel = sim.RunUnaccelerated(batch);
   auto chained = sim.RunChained(batch);
-
-  model::Workload workload;
-  workload.t_cpu = unaccel.total.ToSeconds();
-  workload.t_dep = 0;
-  workload.f = 1.0;
-  model::Component serialize;
-  serialize.name = "Proto. Ser.";
-  serialize.t_sub = unaccel.serialize_time.ToSeconds();
-  serialize.speedup = config.serialize_speedup;
-  serialize.t_setup = config.serialize_setup.ToSeconds();
-  serialize.chained = true;
-  model::Component hash;
-  hash.name = "SHA3";
-  hash.t_sub = unaccel.hash_time.ToSeconds();
-  hash.speedup = config.hash_speedup;
-  hash.t_setup = config.hash_setup.ToSeconds();
-  hash.chained = true;
-  workload.components = {serialize, hash};
-  double modeled = model::AccelModel(workload).AcceleratedE2e();
+  double modeled = sim.ModeledChained(unaccel);
   double measured = chained.total.ToSeconds();
 
   std::printf("Part 1 — simulated SoC (paper values in parentheses):\n");

@@ -15,41 +15,10 @@
 
 #include "common/rng.h"
 #include "common/strings.h"
-#include "core/accel_model.h"
 #include "soc/chained_soc.h"
 #include "soc/host_pipeline.h"
 
 using namespace hyperprof;
-
-namespace {
-
-double ModeledChainedSeconds(const soc::ChainedSocSim& sim,
-                             const soc::SocRunResult& unaccel,
-                             const soc::MessageBatch& batch) {
-  model::Workload workload;
-  workload.name = "protobuf->sha3";
-  workload.t_cpu = unaccel.total.ToSeconds();
-  workload.t_dep = 0;  // everything fits on-chip (Table 8: B_i = 0)
-  workload.f = 1.0;
-  (void)batch;
-  model::Component serialize;
-  serialize.name = "Proto. Ser.";
-  serialize.t_sub = unaccel.serialize_time.ToSeconds();
-  serialize.speedup = sim.config().serialize_speedup;
-  serialize.t_setup = sim.config().serialize_setup.ToSeconds();
-  serialize.chained = true;
-  model::Component hash;
-  hash.name = "SHA3";
-  hash.t_sub = unaccel.hash_time.ToSeconds();
-  hash.speedup = sim.config().hash_speedup;
-  hash.t_setup = sim.config().hash_setup.ToSeconds();
-  hash.chained = true;
-  workload.components = {serialize, hash};
-  model::AccelModel accel_model(workload);
-  return accel_model.AcceleratedE2e();
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   size_t num_messages =
@@ -67,7 +36,7 @@ int main(int argc, char** argv) {
   auto unaccel = sim.RunUnaccelerated(batch);
   auto accel_sync = sim.RunAcceleratedSync(batch);
   auto chained = sim.RunChained(batch);
-  double modeled = ModeledChainedSeconds(sim, unaccel, batch);
+  double modeled = sim.ModeledChained(unaccel);
 
   std::printf("SoC simulation (%zu messages, %s wire bytes):\n",
               batch.size(), HumanBytes(batch.TotalBytes()).c_str());

@@ -6,29 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "profiling/continuous.h"
-
 namespace hyperprof::platforms {
 
 using profiling::BroadOf;
 using profiling::FnCategory;
 using profiling::SpanKind;
-
-struct PlatformEngine::QueryState {
-  uint64_t trace_id = profiling::Tracer::kNotSampled;
-  size_t type_index = 0;
-  net::NodeId client;
-  // Sharded mode: the query's private stream and its canonical identity
-  // on the cross-shard fabric. Unused (cheap to default) in legacy mode.
-  Rng rng{0};
-  uint64_t lane = 0;
-  uint64_t msg_seq = 0;
-  // Serving mode (Submit): admission time and the ticket the ServingSink
-  // receives with the query's virtual latency. Unused in batch runs.
-  SimTime admitted;
-  uint64_t ticket = 0;
-  bool has_ticket = false;
-};
 
 namespace {
 
@@ -144,8 +126,7 @@ Rng& PlatformEngine::DrawStream(QueryState& query) {
   return sharded_ ? query.rng : rng_;
 }
 
-void PlatformEngine::Run(uint64_t num_queries, double arrival_rate_qps,
-                         std::function<void()> on_all_done) {
+void PlatformEngine::Run(uint64_t num_queries, double arrival_rate_qps) {
   // Checked in every build: a rate that is not positive (or NaN) makes
   // every gap infinite or NaN, whose conversion to SimTime is undefined,
   // and the kernel would clamp each arrival to now.
@@ -164,31 +145,22 @@ void PlatformEngine::Run(uint64_t num_queries, double arrival_rate_qps,
                  "previous Run has arrived\n");
     std::abort();
   }
-  on_all_done_ = std::move(on_all_done);
   plan_.clear();
+  // Query i is lane i. A sharded engine walks the full arrival sequence,
+  // drawing each gap from its query's own stream so the prefix sums agree
+  // across shards, and plans only the queries it owns; a fused engine
+  // draws from its own stream and owns every query.
+  const uint64_t stride = std::max<uint32_t>(context_.shard_count, 1);
   SimTime arrival = context_.simulator->Now();
-  if (!sharded_) {
-    target_ += num_queries;
-    plan_.reserve(num_queries);
-    for (uint64_t i = 0; i < num_queries; ++i) {
-      arrival += SimTime::FromSeconds(
-          rng_.NextExponential(1.0 / arrival_rate_qps));
-      size_t type_index = type_sampler_->Sample(rng_);
-      plan_.push_back(Arrival{arrival, type_index});
-    }
-  } else {
-    // Sharded mode: every shard walks the full arrival sequence (each gap
-    // comes from its query's own stream, so the prefix sums agree across
-    // shards) but plans only the queries it owns.
-    for (uint64_t i = 0; i < num_queries; ++i) {
-      Rng query_rng(DeriveQuerySeed(context_.stream_seed, i));
-      arrival += SimTime::FromSeconds(
-          query_rng.NextExponential(1.0 / arrival_rate_qps));
-      size_t type_index = type_sampler_->Sample(query_rng);
-      if (i % context_.shard_count != context_.shard_index) continue;
-      ++target_;
-      plan_.push_back(Arrival{arrival, type_index, i, query_rng});
-    }
+  for (uint64_t i = 0; i < num_queries; ++i) {
+    Arrival next{SimTime(), 0, i,
+                 Rng(DeriveQuerySeed(context_.stream_seed, i))};
+    Rng& draw = sharded_ ? next.rng : rng_;
+    arrival += SimTime::FromSeconds(
+        draw.NextExponential(1.0 / arrival_rate_qps));
+    next.when = arrival;
+    next.type_index = type_sampler_->Sample(draw);
+    if (i % stride == context_.shard_index) plan_.push_back(next);
   }
   plan_order_ = context_.simulator->ReserveOrders(plan_.size());
   ReleaseArrival(0);
@@ -203,12 +175,7 @@ void PlatformEngine::ReleaseArrival(size_t index) {
   context_.simulator->ScheduleAtOrder(
       plan_[index].when, plan_order_ + index, [this, index]() {
         ReleaseArrival(index + 1);
-        const Arrival& arrival = plan_[index];
-        if (sharded_) {
-          StartShardedQuery(arrival.lane, arrival.type_index, arrival.rng);
-        } else {
-          StartQuery(arrival.type_index);
-        }
+        Launch(plan_[index], /*has_ticket=*/false, 0);
       });
 }
 
@@ -218,77 +185,57 @@ void PlatformEngine::SetServingSink(ServingSink sink, void* ctx) {
 }
 
 void PlatformEngine::Submit(uint64_t ticket) {
-  assert(!sharded_ && "serving admission requires a fused engine");
-  assert(serving_sink_ != nullptr && "SetServingSink before ticketed Submit");
-  ++target_;
-  auto query = AcquireQueryState();
-  query->type_index = type_sampler_->Sample(rng_);
-  query->ticket = ticket;
-  query->has_ticket = true;
-  LaunchQuery(std::move(query));
-}
-
-std::shared_ptr<PlatformEngine::QueryState>
-PlatformEngine::AcquireQueryState() {
-  // The most recent return is reusable once every continuation that held
-  // it has been destroyed (use_count back to 1); during a burst the pool
-  // simply grows to the in-flight high-water mark.
-  if (!state_pool_.empty() && state_pool_.back().use_count() == 1) {
-    auto query = std::move(state_pool_.back());
-    state_pool_.pop_back();
-    query->trace_id = profiling::Tracer::kNotSampled;
-    query->type_index = 0;
-    query->lane = 0;
-    query->msg_seq = 0;
-    query->admitted = SimTime();
-    query->ticket = 0;
-    query->has_ticket = false;
-    return query;
+  // Checked in every build: a sharded engine owns a fixed partition of its
+  // Run's query indices, and a ticket with no sink would finish unheard.
+  if (sharded_) {
+    std::fprintf(stderr,
+                 "PlatformEngine::Submit: serving admission requires a "
+                 "fused engine\n");
+    std::abort();
   }
-  return std::make_shared<QueryState>();
+  if (serving_sink_ == nullptr) {
+    std::fprintf(stderr,
+                 "PlatformEngine::Submit: called before SetServingSink\n");
+    std::abort();
+  }
+  const size_t type_index = type_sampler_->Sample(rng_);
+  Launch(Arrival{context_.simulator->Now(), type_index, submitted_++},
+         /*has_ticket=*/true, ticket);
 }
 
-void PlatformEngine::LaunchQuery(std::shared_ptr<QueryState> query) {
+void PlatformEngine::Launch(const Arrival& arrival, bool has_ticket,
+                            uint64_t ticket) {
+  // A recycled record keeps its last query's fields: set every one.
+  QueryRef query = queries_.Acquire();
+  query->type_index = arrival.type_index;
+  query->lane = arrival.lane;
+  query->msg_seq = 0;
+  query->rng = arrival.rng;
   query->admitted = context_.simulator->Now();
+  query->ticket = ticket;
+  query->has_ticket = has_ticket;
+  Rng& draw = DrawStream(*query);
   // Queries originate on worker hosts spread over four clusters.
-  query->client = net::NodeId{
-      0, static_cast<uint32_t>(rng_.NextBounded(4)),
-      static_cast<uint32_t>(rng_.NextBounded(context_.worker_hosts))};
-  query->trace_id = context_.tracer->StartQuery(
-      platform_id_, type_name_ids_[query->type_index],
-      context_.simulator->Now());
-  RunPhaseGroup(std::move(query), 0);
-}
-
-void PlatformEngine::StartQuery(size_t type_index) {
-  auto query = AcquireQueryState();
-  query->type_index = type_index;
-  LaunchQuery(std::move(query));
-}
-
-void PlatformEngine::StartShardedQuery(uint64_t lane, size_t type_index,
-                                       Rng rng) {
-  auto query = AcquireQueryState();
-  query->type_index = type_index;
-  query->lane = lane;
-  query->rng = std::move(rng);
-  Rng& draw = query->rng;
   query->client = net::NodeId{
       0, static_cast<uint32_t>(draw.NextBounded(4)),
       static_cast<uint32_t>(draw.NextBounded(context_.worker_hosts))};
-  // The sampling decision comes from the query stream (not the tracer's)
-  // and the trace id is the global query index, so the sampled set and
-  // the ids are shard-layout-invariant.
-  bool sampled = context_.sample_one_in <= 1 ||
-                 draw.NextBounded(context_.sample_one_in) == 0;
-  query->trace_id = context_.tracer->StartQueryForced(
-      platform_id_, type_name_ids_[type_index], context_.simulator->Now(),
-      sampled, lane + 1);
-  RunPhaseGroup(query, 0);
+  const profiling::NameId type_name = type_name_ids_[arrival.type_index];
+  if (sharded_) {
+    // The sampling decision comes from the query stream (not the tracer's)
+    // and the trace id is the global query index, so the sampled set and
+    // the ids are shard-layout-invariant.
+    const uint32_t one_in = context_.tracer->sample_one_in();
+    const bool sampled = one_in <= 1 || draw.NextBounded(one_in) == 0;
+    query->trace_id = context_.tracer->StartQueryForced(
+        platform_id_, type_name, query->admitted, sampled, arrival.lane + 1);
+  } else {
+    query->trace_id = context_.tracer->StartQuery(platform_id_, type_name,
+                                                  query->admitted);
+  }
+  RunPhaseGroup(std::move(query), 0);
 }
 
-void PlatformEngine::RunPhaseGroup(std::shared_ptr<QueryState> query,
-                                   size_t phase_index) {
+void PlatformEngine::RunPhaseGroup(QueryRef query, size_t phase_index) {
   const auto& phases = spec_.query_types[query->type_index].phases;
   if (phase_index >= phases.size()) {
     FinishQuery(query);
@@ -322,8 +269,8 @@ void PlatformEngine::RunPhaseGroup(std::shared_ptr<QueryState> query,
   }
 }
 
-void PlatformEngine::RunPhase(std::shared_ptr<QueryState> query,
-                              size_t phase_index, Done done) {
+void PlatformEngine::RunPhase(QueryRef query, size_t phase_index,
+                              Done done) {
   const PhaseSpec& phase =
       spec_.query_types[query->type_index].phases[phase_index];
   switch (phase.kind) {
@@ -341,7 +288,7 @@ void PlatformEngine::RunPhase(std::shared_ptr<QueryState> query,
   }
 }
 
-void PlatformEngine::RunComputePhase(std::shared_ptr<QueryState> query,
+void PlatformEngine::RunComputePhase(QueryRef query,
                                      const ComputePhaseSpec& phase,
                                      Done done) {
   Rng& draw = DrawStream(*query);
@@ -372,18 +319,19 @@ void PlatformEngine::RunComputePhase(std::shared_ptr<QueryState> query,
   SimTime span_length = SimTime::FromSeconds(total);
   if (worker_pool_ != nullptr) {
     // Finite cores: the phase queues for a core, and the CPU span covers
-    // only the on-core time (queueing is unattributed wait). Acquire takes
-    // a copyable std::function, so the move-only Done rides a shared_ptr.
-    auto done_shared = std::make_shared<Done>(std::move(done));
-    worker_pool_->Acquire([this, query, span_length, done_shared]() {
-      SimTime start = context_.simulator->Now();
-      context_.tracer->AddSpan(query->trace_id, SpanKind::kCpu,
-                               compute_span_id_, start, start + span_length);
-      context_.simulator->Schedule(span_length, [this, done_shared]() {
-        worker_pool_->Release();
-        (*done_shared)();
-      });
-    });
+    // only the on-core time (queueing is unattributed wait).
+    worker_pool_->Acquire(
+        [this, query, span_length, done = std::move(done)]() mutable {
+          SimTime start = context_.simulator->Now();
+          context_.tracer->AddSpan(query->trace_id, SpanKind::kCpu,
+                                   compute_span_id_, start,
+                                   start + span_length);
+          context_.simulator->Schedule(
+              span_length, [this, done = std::move(done)]() mutable {
+                worker_pool_->Release();
+                done();
+              });
+        });
     return;
   }
   SimTime start = context_.simulator->Now();
@@ -392,8 +340,8 @@ void PlatformEngine::RunComputePhase(std::shared_ptr<QueryState> query,
   context_.simulator->Schedule(span_length, std::move(done));
 }
 
-void PlatformEngine::RunIoPhase(std::shared_ptr<QueryState> query,
-                                const IoPhaseSpec& phase, Done done) {
+void PlatformEngine::RunIoPhase(QueryRef query, const IoPhaseSpec& phase,
+                                Done done) {
   assert(phase.num_blocks > 0 && phase.parallelism > 0);
   RecordPool<IoWave>::Ref wave = io_waves_.Acquire();
   wave->query = std::move(query);
@@ -466,7 +414,7 @@ void PlatformEngine::OnIoDone(const RecordPool<IoWave>::Ref& wave,
   if (--wave->outstanding == 0) IssueWave(wave);
 }
 
-void PlatformEngine::RunRemotePhase(std::shared_ptr<QueryState> query,
+void PlatformEngine::RunRemotePhase(QueryRef query,
                                     const RemotePhaseSpec& phase,
                                     const RemotePhaseInfo& info, Done done) {
   assert(phase.fanout > 0);
@@ -527,9 +475,11 @@ void PlatformEngine::RunRemotePhase(std::shared_ptr<QueryState> query,
     uint32_t proposer_id =
         static_cast<uint32_t>(draw.NextBounded(1 << 15)) + 1;
     // The commit value is this query's lane. It never reaches an output:
-    // message sizes are fixed, and the chosen value is discarded.
+    // message sizes are fixed, and the chosen value is discarded. Its
+    // digits alone fit std::string's inline buffer below 10^15 lanes, so
+    // a long-lived serving engine's proposals stay allocation-free.
     op->paxos->Propose(query->client, proposer_id,
-                       "commit-" + std::to_string(query->lane),
+                       std::to_string(query->lane),
                        [this, op](const consensus::ProposeResult&) {
                          FinishRemote(op);
                        });
@@ -570,28 +520,13 @@ void PlatformEngine::FinishRemote(const RecordPool<RemoteOp>::Ref& op) {
   done();
 }
 
-void PlatformEngine::FinishQuery(std::shared_ptr<QueryState> query) {
+void PlatformEngine::FinishQuery(const QueryRef& query) {
   context_.tracer->FinishQuery(query->trace_id, context_.simulator->Now());
   ++completed_;
-  if (completed_ == target_ && on_all_done_) {
-    // The workload has drained: advance the windowed profiler to the
-    // final virtual timestamp so every window that ended before it is
-    // sealed (the fleet's post-run Finalize closes the last one).
-    if (context_.continuous != nullptr) {
-      context_.continuous->AdvanceTo(context_.simulator->Now());
-    }
-    auto done = std::move(on_all_done_);
-    on_all_done_ = nullptr;
-    done();
-  }
   if (query->has_ticket) {
-    query->has_ticket = false;
     serving_sink_(serving_ctx_, query->ticket,
                   context_.simulator->Now() - query->admitted);
   }
-  // Recycle: once the in-flight continuations that still reference this
-  // state unwind, AcquireQueryState hands it to the next admission.
-  state_pool_.push_back(std::move(query));
 }
 
 }  // namespace hyperprof::platforms

@@ -1,7 +1,6 @@
 #ifndef HYPERPROF_PLATFORMS_ENGINE_H_
 #define HYPERPROF_PLATFORMS_ENGINE_H_
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,8 +23,9 @@ namespace hyperprof::platforms {
 /** One storage access of an IO phase. */
 struct IoRequest {
   // Issuing shard and the (lane, seq) key that orders same-instant
-  // cross-shard messages: `lane` is the global query index and `seq` a
-  // per-query message counter. Only the shard fabric reads them.
+  // cross-shard messages: `lane` is the issuing query's global index (its
+  // index in its Run, or its admission count for a ticketed Submit) and
+  // `seq` a per-query message counter. Only the shard fabric reads them.
   uint32_t shard = 0;
   uint64_t lane = 0;
   uint64_t seq = 0;
@@ -72,8 +72,8 @@ struct EngineContext {
   profiling::CpuProfiler* profiler = nullptr;
   const profiling::FunctionRegistry* registry = nullptr;
   // Optional continuous (windowed) profiler. The engine attaches it to the
-  // tracer so every sampled finish lands in its virtual-time window, and
-  // advances it past the final completion when the workload drains. Worker
+  // tracer so every sampled finish lands in its virtual-time window; the
+  // fleet seals the windows (FleetSimulation::Advance and Finish). Worker
   // shards carry a deferred-evaluation instance that the post-run merge
   // combines at the barrier (see profiling/continuous.h).
   profiling::ContinuousProfiler* continuous = nullptr;
@@ -87,15 +87,13 @@ struct EngineContext {
   // mode: it owns queries whose global index is congruent to
   // `shard_index` mod `shard_count`, derives every stochastic draw for a
   // query from a stream seeded by (stream_seed, query index), and draws
-  // trace-sampling decisions itself (forced into the tracer). All of this
-  // makes a query's simulated timeline a function of its index alone,
-  // which is what lets any shard count produce bit-identical platform
-  // results.
+  // trace-sampling decisions itself at the tracer's rate (forced into the
+  // tracer). All of this makes a query's simulated timeline a function of
+  // its index alone, which is what lets any shard count produce
+  // bit-identical platform results.
   uint32_t shard_index = 0;
   uint32_t shard_count = 0;  // 0 = legacy fused mode
   uint64_t stream_seed = 0;  // base of the per-query derived streams
-  // Trace sampling rate applied via forced decisions (sharded mode).
-  uint32_t sample_one_in = 1;
   // Simulated worker hosts per cluster that clients/peers are drawn
   // from; 64 matches the legacy draws bit-for-bit.
   uint32_t worker_hosts = 64;
@@ -119,16 +117,16 @@ class PlatformEngine {
   PlatformEngine& operator=(const PlatformEngine&) = delete;
 
   /**
-   * Plans `num_queries` arrivals at `arrival_rate_qps` and invokes
-   * `on_all_done` when the last completes. Call Simulator::Run afterwards.
-   * The kernel holds one planned arrival at a time, at the tie-break
-   * order it would have had if every arrival were scheduled now
+   * Plans `num_queries` arrivals at `arrival_rate_qps`, query i with lane
+   * i; a sharded engine keeps the ones it owns. Call Simulator::Run
+   * afterwards; queries_completed() counts the finished ones. The kernel
+   * holds one planned arrival at a time, at the tie-break order it would
+   * have had if every arrival were scheduled now
    * (Simulator::ReserveOrders). Aborts on a rate that is not positive,
    * and on a call made before every arrival of the previous one has
    * arrived.
    */
-  void Run(uint64_t num_queries, double arrival_rate_qps,
-           std::function<void()> on_all_done);
+  void Run(uint64_t num_queries, double arrival_rate_qps);
 
   /**
    * Completion sink for serving admissions. A plain function pointer +
@@ -143,12 +141,13 @@ class PlatformEngine {
 
   /**
    * Serving admission: starts one query of a sampled type at the engine's
-   * current virtual time; its completion reaches the registered
-   * ServingSink with `ticket`. Fused engines only — a sharded engine owns
-   * a fixed query partition. Deterministic: given the same admission
-   * sequence at the same virtual times, the simulated timeline is
-   * bit-identical across runs. The steady state allocates nothing (query
-   * states are pooled).
+   * current virtual time, with its admission count as lane; its
+   * completion reaches the registered ServingSink with `ticket`. Aborts
+   * in every build on a sharded engine, which owns a fixed partition of
+   * its Run's queries, and before SetServingSink. Deterministic: given
+   * the same admission sequence at the same virtual times, the simulated
+   * timeline is bit-identical across runs. The steady state allocates
+   * nothing (query states are pooled).
    */
   void Submit(uint64_t ticket);
 
@@ -161,15 +160,33 @@ class PlatformEngine {
   const sim::Resource* worker_pool() const { return worker_pool_.get(); }
 
  private:
-  struct QueryState;
+  /** One in-flight query. */
+  struct QueryState {
+    uint64_t trace_id = profiling::Tracer::kNotSampled;
+    size_t type_index = 0;
+    net::NodeId client;
+    // The query's global index, its message counter on the shard fabric,
+    // and (sharded mode) its private stream.
+    uint64_t lane = 0;
+    uint64_t msg_seq = 0;
+    Rng rng{0};
+    // Serving mode (Submit): admission time and the ticket the ServingSink
+    // receives with the query's virtual latency.
+    SimTime admitted;
+    uint64_t ticket = 0;
+    bool has_ticket = false;
 
-  /** One planned arrival of Run. */
+    void Recycle() {}  // holds no callback and no handle
+  };
+  using QueryRef = RecordPool<QueryState>::Ref;
+
+  /** One admission: a planned arrival of Run, or a ticketed Submit. */
   struct Arrival {
     SimTime when;
     size_t type_index = 0;
-    // Sharded mode: the query's global index and its private stream,
-    // already advanced past the arrival and type draws.
     uint64_t lane = 0;
+    // Sharded mode: the query's private stream, already advanced past the
+    // arrival and type draws.
     Rng rng{0};
   };
 
@@ -192,21 +209,21 @@ class PlatformEngine {
    * the previous one has completed.
    */
   struct IoWave {
-    std::shared_ptr<QueryState> query;
+    QueryRef query;
     const IoPhaseSpec* phase = nullptr;
     int remaining = 0;    // accesses not yet issued
     int outstanding = 0;  // accesses of the current wave in flight
     Done done;
 
     void Recycle() {
-      query.reset();
+      query = QueryRef();
       done = nullptr;
     }
   };
 
   /** A remote phase: one fan-out of RPCs, a shuffle or a Paxos round. */
   struct RemoteOp {
-    std::shared_ptr<QueryState> query;
+    QueryRef query;
     SimTime start;
     profiling::NameId name = profiling::kInvalidNameId;
     int outstanding = 0;  // fan-out RPCs in flight
@@ -218,46 +235,39 @@ class PlatformEngine {
     std::unique_ptr<consensus::PaxosGroup> paxos;
 
     void Recycle() {
-      query.reset();
+      query = QueryRef();
       done = nullptr;
     }
   };
 
   /** Phases that overlap: the query moves on once all of them are done. */
   struct PhaseGroup {
-    std::shared_ptr<QueryState> query;
+    QueryRef query;
     size_t next_phase = 0;
     size_t outstanding = 0;
 
-    void Recycle() { query.reset(); }
+    void Recycle() { query = QueryRef(); }
   };
 
-  /** Pops a recycled QueryState (fields reset) or allocates a fresh one. */
-  std::shared_ptr<QueryState> AcquireQueryState();
   /** Puts plan_[index] into the kernel (or notes that the plan is done). */
   void ReleaseArrival(size_t index);
-  /** Shared tail of every fused admission: client draw, trace, phase 0. */
-  void LaunchQuery(std::shared_ptr<QueryState> query);
-  /** Batch-mode (fused) arrival of one query of type `type_index`. */
-  void StartQuery(size_t type_index);
-  /** Sharded-mode arrival: `rng` is the query's private stream, already
-   * advanced past the arrival/type draws. */
-  void StartShardedQuery(uint64_t lane, size_t type_index, Rng rng);
-  void RunPhaseGroup(std::shared_ptr<QueryState> query, size_t phase_index);
-  void RunPhase(std::shared_ptr<QueryState> query, size_t phase_index,
-                Done done);
-  void RunComputePhase(std::shared_ptr<QueryState> query,
-                       const ComputePhaseSpec& phase, Done done);
-  void RunIoPhase(std::shared_ptr<QueryState> query, const IoPhaseSpec& phase,
-                  Done done);
+  /**
+   * Starts one query at the kernel's clock, the one path of every
+   * admission: query record, client draw, trace, phase 0.
+   */
+  void Launch(const Arrival& arrival, bool has_ticket, uint64_t ticket);
+  void RunPhaseGroup(QueryRef query, size_t phase_index);
+  void RunPhase(QueryRef query, size_t phase_index, Done done);
+  void RunComputePhase(QueryRef query, const ComputePhaseSpec& phase,
+                       Done done);
+  void RunIoPhase(QueryRef query, const IoPhaseSpec& phase, Done done);
   void IssueWave(const RecordPool<IoWave>::Ref& wave);
   void OnIoDone(const RecordPool<IoWave>::Ref& wave, SimTime start,
                 const storage::IoResult& io);
-  void RunRemotePhase(std::shared_ptr<QueryState> query,
-                      const RemotePhaseSpec& phase,
+  void RunRemotePhase(QueryRef query, const RemotePhaseSpec& phase,
                       const RemotePhaseInfo& info, Done done);
   void FinishRemote(const RecordPool<RemoteOp>::Ref& op);
-  void FinishQuery(std::shared_ptr<QueryState> query);
+  void FinishQuery(const QueryRef& query);
 
   double SampleLogNormalMean(Rng& rng, double mean, double sigma);
   /** The query's own stream in sharded mode, the engine stream otherwise. */
@@ -289,16 +299,12 @@ class PlatformEngine {
   std::vector<std::vector<RemotePhaseInfo>> remote_info_;  // [type][phase]
   uint64_t completed_ = 0;
   uint64_t io_failures_ = 0;
-  uint64_t target_ = 0;
-  std::function<void()> on_all_done_;
+  uint64_t submitted_ = 0;  // ticketed admissions so far: the next lane
   // Ticketed-serving completion sink (see SetServingSink).
   ServingSink serving_sink_ = nullptr;
   void* serving_ctx_ = nullptr;
-  // Recycled query states: FinishQuery returns each state here and
-  // admission pops one back off, so a pipelined serving steady state
-  // reuses the same handful of allocations forever.
-  std::vector<std::shared_ptr<QueryState>> state_pool_;
-  // Per-phase records of in-flight queries.
+  // In-flight queries and the per-phase records that hold them.
+  RecordPool<QueryState> queries_;
   RecordPool<IoWave> io_waves_;
   RecordPool<RemoteOp> remote_ops_;
   RecordPool<PhaseGroup> phase_groups_;

@@ -170,7 +170,6 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
     // workers' own tracer/profiler/rpc/fault streams are never consumed,
     // so their seeds only need to be deterministic.
     context.stream_seed = engine_rng.Next();
-    context.sample_one_in = config_.trace_sample_one_in;
     // Worker-pool contention is a fused-mode feature: a finite core pool
     // is cross-query mutable state, which sharded determinism forbids.
     spec.worker_cores = 0;
@@ -342,8 +341,7 @@ void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
 void FleetSimulation::StartSlot(PlatformSlot& slot) {
   if (config_.queries_per_platform == 0) return;  // serving: Submit-driven
   for (PlatformSlot::Engine& engine : slot.engines) {
-    engine.engine->Run(config_.queries_per_platform, config_.arrival_rate_qps,
-                       []() {});
+    engine.engine->Run(config_.queries_per_platform, config_.arrival_rate_qps);
   }
 }
 

@@ -238,6 +238,9 @@ class Tracer {
   }
   ContinuousProfiler* continuous() const { return continuous_; }
 
+  /** The sampling rate: each query is sampled with probability 1/N. */
+  uint32_t sample_one_in() const { return sample_one_in_; }
+
   uint64_t queries_seen() const { return queries_seen_; }
   uint64_t queries_sampled() const { return queries_sampled_; }
   uint64_t queries_finished() const { return queries_finished_; }

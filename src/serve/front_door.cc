@@ -2,16 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace hyperprof::serve {
 
 VirtualFrontDoor::VirtualFrontDoor(FrontDoorOptions options)
     : options_(std::move(options)) {
   // Serving invariants on the fleet config: no batch workload, fused
-  // platforms only (see FrontDoorOptions).
+  // platforms only (see FrontDoorOptions). Checked in every build: a
+  // sharded fleet would route every admission into one worker shard.
   options_.fleet.queries_per_platform = 0;
-  assert(options_.fleet.shards_per_platform == 0 &&
-         "serving requires fused platforms");
+  if (options_.fleet.shards_per_platform != 0) {
+    std::fprintf(stderr,
+                 "VirtualFrontDoor: shards_per_platform is %u; serving "
+                 "requires fused platforms (0)\n",
+                 options_.fleet.shards_per_platform);
+    std::abort();
+  }
   fleet_ = std::make_unique<platforms::FleetSimulation>(options_.fleet);
 }
 

@@ -25,10 +25,11 @@ struct FrontDoorOptions {
    * Fleet configuration. queries_per_platform is forced to zero — a
    * serving fleet has no batch workload; every query enters through
    * SubmitTicketed. Sharded platforms are not supported (a sharded engine
-   * owns a fixed query partition); keep shards_per_platform = 0. Trace
-   * retention defaults to kSampleReservoir: a daemon runs for its whole
-   * life, so it keeps trace_reservoir_capacity traces rather than every
-   * sampled one, and its breakdowns are unchanged by the bound.
+   * owns a fixed query partition): the door aborts on a nonzero
+   * shards_per_platform. Trace retention defaults to kSampleReservoir: a
+   * daemon runs for its whole life, so it keeps trace_reservoir_capacity
+   * traces rather than every sampled one, and its breakdowns are
+   * unchanged by the bound.
    */
   platforms::FleetConfig fleet;
   /**

@@ -21,7 +21,7 @@ void Resource::AccumulateBusy() {
   last_change_ = now;
 }
 
-void Resource::Acquire(std::function<void()> on_granted) {
+void Resource::Acquire(Simulator::Callback on_granted) {
   if (in_use_ < capacity_) {
     AccumulateBusy();
     ++in_use_;
@@ -32,12 +32,13 @@ void Resource::Acquire(std::function<void()> on_granted) {
   waiters_.push_back(Waiter{sim_->Now(), std::move(on_granted)});
 }
 
-void Resource::Serve(SimTime service_time, std::function<void()> on_done) {
+void Resource::Serve(SimTime service_time, Simulator::Callback on_done) {
   Acquire([this, service_time, on_done = std::move(on_done)]() mutable {
-    sim_->Schedule(service_time, [this, on_done = std::move(on_done)]() {
-      Release();
-      on_done();
-    });
+    sim_->Schedule(service_time,
+                   [this, on_done = std::move(on_done)]() mutable {
+                     Release();
+                     on_done();
+                   });
   });
 }
 

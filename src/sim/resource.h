@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 
 #include "common/sim_time.h"
@@ -35,14 +34,14 @@ class Resource {
    * Requests one unit. `on_granted` fires (possibly immediately, inline)
    * once a unit is available. The holder must call Release() exactly once.
    */
-  void Acquire(std::function<void()> on_granted);
+  void Acquire(Simulator::Callback on_granted);
 
   /**
    * Convenience: acquires a unit, holds it for `service_time`, then
    * releases and invokes `on_done`. This is the common "serve a request"
    * pattern.
    */
-  void Serve(SimTime service_time, std::function<void()> on_done);
+  void Serve(SimTime service_time, Simulator::Callback on_done);
 
   /** Returns one unit; grants the oldest waiter, if any. */
   void Release();
@@ -62,7 +61,7 @@ class Resource {
  private:
   struct Waiter {
     SimTime enqueued;
-    std::function<void()> on_granted;
+    Simulator::Callback on_granted;
   };
 
   void AccumulateBusy();

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cmath>
 
+#include "core/accel_model.h"
+
 namespace hyperprof::soc {
 
 uint64_t MessageBatch::TotalBytes() const {
@@ -125,6 +127,27 @@ SocRunResult ChainedSocSim::RunChained(const MessageBatch& batch) const {
   result.hash_time = hash_busy;
   result.total = hash_done;
   return result;
+}
+
+double ChainedSocSim::ModeledChained(const SocRunResult& unaccel) const {
+  model::Workload workload;
+  workload.t_cpu = unaccel.total.ToSeconds();
+  workload.t_dep = 0;
+  workload.f = 1.0;
+  model::Component serialize;
+  serialize.name = "Proto. Ser.";
+  serialize.t_sub = unaccel.serialize_time.ToSeconds();
+  serialize.speedup = config_.serialize_speedup;
+  serialize.t_setup = config_.serialize_setup.ToSeconds();
+  serialize.chained = true;
+  model::Component hash;
+  hash.name = "SHA3";
+  hash.t_sub = unaccel.hash_time.ToSeconds();
+  hash.speedup = config_.hash_speedup;
+  hash.t_setup = config_.hash_setup.ToSeconds();
+  hash.chained = true;
+  workload.components = {serialize, hash};
+  return model::AccelModel(workload).AcceleratedE2e();
 }
 
 }  // namespace hyperprof::soc

@@ -101,6 +101,14 @@ class ChainedSocSim {
    */
   SocRunResult RunChained(const MessageBatch& batch) const;
 
+  /**
+   * The analytical model's prediction for RunChained (Eq. 9-12, Table 8):
+   * `unaccel`'s total as t_cpu, its serialize and hash times as the two
+   * chained components' t_sub, this config's speedups and setups, and
+   * everything on-chip (t_dep = 0, B_i = 0). Returns seconds.
+   */
+  double ModeledChained(const SocRunResult& unaccel) const;
+
   const SocConfig& config() const { return config_; }
 
   /** Accelerated per-message service time for one stage. */

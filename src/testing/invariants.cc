@@ -205,11 +205,12 @@ void CheckSpanCausality(const RunArtifacts& run, Out& out) {
  */
 void CheckTracerBookkeeping(const RunArtifacts& run, Out& out) {
   for (const auto& p : run.platforms) {
-    if (p.queries_seen != p.queries_completed) {
+    if (p.queries_seen != p.totals.queries_completed) {
       Report(out, "tracer-bookkeeping", p.name,
              StrFormat("tracer saw %llu queries, engine completed %llu",
                        static_cast<unsigned long long>(p.queries_seen),
-                       static_cast<unsigned long long>(p.queries_completed)));
+                       static_cast<unsigned long long>(
+                           p.totals.queries_completed)));
     }
     if (p.queries_sampled > p.queries_seen) {
       Report(out, "tracer-bookkeeping", p.name, "sampled > seen");
@@ -272,18 +273,20 @@ void CheckTracerBookkeeping(const RunArtifacts& run, Out& out) {
  */
 void CheckKernelQuiesce(const RunArtifacts& run, Out& out) {
   for (const auto& p : run.platforms) {
-    if (p.pending_events != 0) {
+    if (p.totals.pending_events != 0) {
       Report(out, "kernel-quiesce", p.name,
              StrFormat("%llu events still pending",
-                       static_cast<unsigned long long>(p.pending_events)));
+                       static_cast<unsigned long long>(
+                           p.totals.pending_events)));
     }
-    if (p.cancelled_in_heap != 0) {
+    if (p.totals.cancelled_in_heap != 0) {
       Report(out, "kernel-quiesce", p.name,
              StrFormat("%llu cancelled entries still in the drained heap",
-                       static_cast<unsigned long long>(p.cancelled_in_heap)));
+                       static_cast<unsigned long long>(
+                           p.totals.cancelled_in_heap)));
     }
     if (run.queries_per_platform > 0 &&
-        p.events_executed < p.queries_completed) {
+        p.totals.events_executed < p.totals.queries_completed) {
       Report(out, "kernel-quiesce", p.name,
              "fewer events executed than queries completed");
     }
@@ -340,13 +343,13 @@ void CheckDfsConservation(const RunArtifacts& run, Out& out) {
     if (!run.faults_armed && run.read_policy_plain &&
         run.write_policy_plain &&
         (p.failed_reads != 0 || p.failed_writes != 0 ||
-         p.io_failures != 0)) {
+         p.totals.io_failures != 0)) {
       Report(out, "dfs-conservation", p.name,
              StrFormat("fault-free plain run failed IOs "
                        "(reads=%llu writes=%llu engine=%llu)",
                        static_cast<unsigned long long>(p.failed_reads),
                        static_cast<unsigned long long>(p.failed_writes),
-                       static_cast<unsigned long long>(p.io_failures)));
+                       static_cast<unsigned long long>(p.totals.io_failures)));
     }
   }
 }
@@ -359,30 +362,34 @@ void CheckDfsConservation(const RunArtifacts& run, Out& out) {
  */
 void CheckRpcAccounting(const RunArtifacts& run, Out& out) {
   for (const auto& p : run.platforms) {
-    if (p.hedge_wins > p.hedges_issued) {
+    if (p.totals.hedge_wins > p.totals.hedges_issued) {
       Report(out, "rpc-accounting", p.name,
              StrFormat("hedge wins %llu > hedges issued %llu",
-                       static_cast<unsigned long long>(p.hedge_wins),
-                       static_cast<unsigned long long>(p.hedges_issued)));
+                       static_cast<unsigned long long>(p.totals.hedge_wins),
+                       static_cast<unsigned long long>(
+                           p.totals.hedges_issued)));
     }
-    if (p.cancelled_attempts > p.retries_issued + p.hedges_issued) {
+    const uint64_t extra_attempts =
+        p.totals.retries_issued + p.totals.hedges_issued;
+    if (p.totals.cancelled_attempts > extra_attempts) {
       Report(out, "rpc-accounting", p.name,
              StrFormat("cancelled %llu > extra attempts %llu",
-                       static_cast<unsigned long long>(p.cancelled_attempts),
-                       static_cast<unsigned long long>(p.retries_issued +
-                                                       p.hedges_issued)));
+                       static_cast<unsigned long long>(
+                           p.totals.cancelled_attempts),
+                       static_cast<unsigned long long>(extra_attempts)));
     }
-    if (!std::isfinite(p.wasted_seconds) || p.wasted_seconds < 0) {
+    if (!std::isfinite(p.totals.wasted_seconds) ||
+        p.totals.wasted_seconds < 0) {
       Report(out, "rpc-accounting", p.name, "wasted seconds not in [0, inf)");
     }
-    bool any_resilience_activity = p.retries_issued != 0 ||
-                                   p.hedges_issued != 0 ||
-                                   p.timeouts_fired != 0 ||
-                                   p.failed_calls != 0;
-    if (!any_resilience_activity && p.wasted_seconds != 0) {
+    bool any_resilience_activity = p.totals.retries_issued != 0 ||
+                                   p.totals.hedges_issued != 0 ||
+                                   p.totals.timeouts_fired != 0 ||
+                                   p.totals.failed_calls != 0;
+    if (!any_resilience_activity && p.totals.wasted_seconds != 0) {
       Report(out, "rpc-accounting", p.name,
              StrFormat("wasted %.9fs with no failed/extra attempts",
-                       p.wasted_seconds));
+                       p.totals.wasted_seconds));
     }
     if (!run.faults_armed && run.read_policy_plain &&
         run.write_policy_plain && any_resilience_activity) {
@@ -399,19 +406,21 @@ void CheckRpcAccounting(const RunArtifacts& run, Out& out) {
  */
 void CheckFaultGating(const RunArtifacts& run, Out& out) {
   for (const auto& p : run.platforms) {
-    uint64_t injected_draws =
-        p.injected_drops + p.injected_errors + p.injected_slowdowns;
+    uint64_t injected_draws = p.totals.injected_drops +
+                              p.totals.injected_errors +
+                              p.totals.injected_slowdowns;
     if (!run.faults_armed &&
-        (p.fault_decisions != 0 || injected_draws != 0 ||
-         p.outage_hits != 0)) {
+        (p.totals.fault_decisions != 0 || injected_draws != 0 ||
+         p.totals.outage_hits != 0)) {
       Report(out, "fault-gating", p.name,
              "disarmed fault model was consulted");
     }
-    if (injected_draws > p.fault_decisions) {
+    if (injected_draws > p.totals.fault_decisions) {
       Report(out, "fault-gating", p.name,
              StrFormat("injected %llu > decisions %llu",
                        static_cast<unsigned long long>(injected_draws),
-                       static_cast<unsigned long long>(p.fault_decisions)));
+                       static_cast<unsigned long long>(
+                           p.totals.fault_decisions)));
     }
   }
 }
@@ -458,37 +467,37 @@ void CheckBreakdownConsistency(const RunArtifacts& run, Out& out) {
  */
 void CheckShardExchange(const RunArtifacts& run, Out& out) {
   for (const auto& p : run.platforms) {
-    if (p.shard_late_deliveries != 0) {
+    if (p.shards.late_deliveries != 0) {
       Report(out, "shard-exchange", p.name,
              StrFormat("%llu envelopes delivered behind the destination "
                        "clock (a post broke its one-window lookahead)",
                        static_cast<unsigned long long>(
-                           p.shard_late_deliveries)));
+                           p.shards.late_deliveries)));
     }
-    if (p.shard_count == 0) {
-      if (p.shard_messages_posted != 0 || p.shard_messages_delivered != 0 ||
-          p.shard_undelivered != 0 || p.shard_epochs != 0) {
+    if (p.shards.shard_count == 0) {
+      if (p.shards.messages_posted != 0 || p.shards.messages_delivered != 0 ||
+          p.shards.undelivered != 0 || p.shards.epochs != 0) {
         Report(out, "shard-exchange", p.name,
                "fused platform reports shard fabric activity");
       }
       continue;
     }
-    if (p.shard_messages_posted != 0 && p.shard_epochs == 0) {
+    if (p.shards.messages_posted != 0 && p.shards.epochs == 0) {
       Report(out, "shard-exchange", p.name,
              "fabric carried messages without running a single epoch");
     }
-    if (p.shard_messages_delivered != p.shard_messages_posted) {
+    if (p.shards.messages_delivered != p.shards.messages_posted) {
       Report(out, "shard-exchange", p.name,
              StrFormat("delivered %llu != posted %llu",
                        static_cast<unsigned long long>(
-                           p.shard_messages_delivered),
+                           p.shards.messages_delivered),
                        static_cast<unsigned long long>(
-                           p.shard_messages_posted)));
+                           p.shards.messages_posted)));
     }
-    if (p.shard_undelivered != 0) {
+    if (p.shards.undelivered != 0) {
       Report(out, "shard-exchange", p.name,
              StrFormat("%llu envelopes stranded in mailboxes at quiesce",
-                       static_cast<unsigned long long>(p.shard_undelivered)));
+                       static_cast<unsigned long long>(p.shards.undelivered)));
     }
   }
 }
@@ -608,9 +617,8 @@ RunArtifacts CollectArtifacts(const platforms::FleetSimulation& fleet) {
     // Summed accounting: identical to the single instance's counters for
     // fused platforms, workers + storage plane for sharded ones — so the
     // conservation checks below hold unchanged in both modes.
-    const platforms::PlatformTotals totals = fleet.TotalsOf(index);
-    p.queries_completed = totals.queries_completed;
-    p.io_failures = totals.io_failures;
+    p.totals = fleet.TotalsOf(index);
+    p.shards = fleet.ShardStatsOf(index);
 
     const auto& tracer = fleet.TracerOf(index);
     p.queries_seen = tracer.queries_seen();
@@ -622,10 +630,6 @@ RunArtifacts CollectArtifacts(const platforms::FleetSimulation& fleet) {
     p.traces_folded = tracer.breakdown().traces_folded();
     p.traces = tracer.traces();
     p.e2e = tracer.breakdown().e2e();
-
-    p.events_executed = totals.events_executed;
-    p.pending_events = totals.pending_events;
-    p.cancelled_in_heap = totals.cancelled_in_heap;
 
     const auto& dfs = fleet.DfsOf(index);
     for (uint32_t s = 0; s < dfs.num_fileservers(); ++s) {
@@ -651,21 +655,6 @@ RunArtifacts CollectArtifacts(const platforms::FleetSimulation& fleet) {
     p.failed_writes = dfs.failed_writes();
     p.invalid_writes = dfs.invalid_writes();
     p.background_acks = dfs.background_acks();
-
-    p.completed_calls = totals.completed_calls;
-    p.failed_calls = totals.failed_calls;
-    p.retries_issued = totals.retries_issued;
-    p.hedges_issued = totals.hedges_issued;
-    p.hedge_wins = totals.hedge_wins;
-    p.timeouts_fired = totals.timeouts_fired;
-    p.cancelled_attempts = totals.cancelled_attempts;
-    p.wasted_seconds = totals.wasted_seconds;
-
-    p.fault_decisions = totals.fault_decisions;
-    p.injected_drops = totals.injected_drops;
-    p.injected_errors = totals.injected_errors;
-    p.injected_slowdowns = totals.injected_slowdowns;
-    p.outage_hits = totals.outage_hits;
 
     if (const profiling::ContinuousProfiler* continuous =
             fleet.ContinuousOf(index)) {
@@ -698,14 +687,6 @@ RunArtifacts CollectArtifacts(const platforms::FleetSimulation& fleet) {
       p.continuous_merge_drops = continuous->merge_drops();
     }
 
-    const platforms::ShardStats shards = fleet.ShardStatsOf(index);
-    p.shard_count = shards.shard_count;
-    p.shard_messages_posted = shards.messages_posted;
-    p.shard_messages_delivered = shards.messages_delivered;
-    p.shard_undelivered = shards.undelivered;
-    p.shard_epochs = shards.epochs;
-    p.shard_late_deliveries = shards.late_deliveries;
-
     run.platforms.push_back(std::move(p));
   }
   return run;
@@ -716,12 +697,12 @@ uint64_t DigestArtifacts(const RunArtifacts& run) {
   fnv.U64(run.platforms.size());
   for (const auto& p : run.platforms) {
     fnv.Str(p.name);
-    fnv.U64(p.queries_completed);
-    fnv.U64(p.io_failures);
+    fnv.U64(p.totals.queries_completed);
+    fnv.U64(p.totals.io_failures);
     fnv.U64(p.queries_seen);
     fnv.U64(p.queries_sampled);
     fnv.U64(p.queries_finished);
-    fnv.U64(p.events_executed);
+    fnv.U64(p.totals.events_executed);
     for (size_t g = 0; g < profiling::kNumQueryGroups; ++g) {
       FoldAggregate(fnv, p.e2e.groups[g]);
     }
@@ -753,28 +734,28 @@ uint64_t DigestArtifacts(const RunArtifacts& run) {
     fnv.U64(p.failed_reads);
     fnv.U64(p.failed_writes);
     fnv.U64(p.background_acks);
-    fnv.U64(p.completed_calls);
-    fnv.U64(p.failed_calls);
-    fnv.U64(p.retries_issued);
-    fnv.U64(p.hedges_issued);
-    fnv.U64(p.hedge_wins);
-    fnv.U64(p.timeouts_fired);
-    fnv.U64(p.cancelled_attempts);
-    fnv.F64(p.wasted_seconds);
-    fnv.U64(p.fault_decisions);
-    fnv.U64(p.injected_drops);
-    fnv.U64(p.injected_errors);
-    fnv.U64(p.injected_slowdowns);
-    fnv.U64(p.outage_hits);
+    fnv.U64(p.totals.completed_calls);
+    fnv.U64(p.totals.failed_calls);
+    fnv.U64(p.totals.retries_issued);
+    fnv.U64(p.totals.hedges_issued);
+    fnv.U64(p.totals.hedge_wins);
+    fnv.U64(p.totals.timeouts_fired);
+    fnv.U64(p.totals.cancelled_attempts);
+    fnv.F64(p.totals.wasted_seconds);
+    fnv.U64(p.totals.fault_decisions);
+    fnv.U64(p.totals.injected_drops);
+    fnv.U64(p.totals.injected_errors);
+    fnv.U64(p.totals.injected_slowdowns);
+    fnv.U64(p.totals.outage_hits);
     // Shard-layout-invariant fabric traffic and epoch schedule: barriers
     // snap to global next-event times, so these match across thread
     // schedules AND shard layouts. shard_count itself stays out (pure
     // execution layout). The constant 0 fills the slot of the retired
     // coalesced-epoch count, so fused digests stay comparable with
     // earlier builds.
-    fnv.U64(p.shard_messages_posted);
-    fnv.U64(p.shard_messages_delivered);
-    fnv.U64(p.shard_epochs);
+    fnv.U64(p.shards.messages_posted);
+    fnv.U64(p.shards.messages_delivered);
+    fnv.U64(p.shards.epochs);
     fnv.U64(0);
     // Continuous-profiling windows: integer totals and sketch-derived
     // percentiles are shard-layout-invariant by construction (int64/uint64

@@ -23,9 +23,9 @@ namespace hyperprof::testing {
 struct PlatformArtifacts {
   std::string name;
 
-  // Engine.
-  uint64_t queries_completed = 0;
-  uint64_t io_failures = 0;
+  // Engine, event-kernel, RPC-fabric and fault-injector counters, summed
+  // over the platform's kernels (FleetSimulation::TotalsOf).
+  platforms::PlatformTotals totals;
 
   // Tracer bookkeeping.
   uint64_t queries_seen = 0;
@@ -37,11 +37,6 @@ struct PlatformArtifacts {
   uint64_t traces_folded = 0;
   std::vector<profiling::QueryTrace> traces;  // retained traces (copied)
   profiling::E2eBreakdownReport e2e;          // streaming aggregates
-
-  // Event kernel.
-  uint64_t events_executed = 0;
-  uint64_t pending_events = 0;
-  uint64_t cancelled_in_heap = 0;
 
   // Distributed filesystem, aggregated and per fileserver.
   struct ServerSnapshot {
@@ -58,36 +53,13 @@ struct PlatformArtifacts {
   uint64_t invalid_writes = 0;
   uint64_t background_acks = 0;
 
-  // RPC fabric.
-  uint64_t completed_calls = 0;
-  uint64_t failed_calls = 0;
-  uint64_t retries_issued = 0;
-  uint64_t hedges_issued = 0;
-  uint64_t hedge_wins = 0;
-  uint64_t timeouts_fired = 0;
-  uint64_t cancelled_attempts = 0;
-  double wasted_seconds = 0;
-
-  // Fault injector.
-  uint64_t fault_decisions = 0;
-  uint64_t injected_drops = 0;
-  uint64_t injected_errors = 0;
-  uint64_t injected_slowdowns = 0;
-  uint64_t outage_hits = 0;
-
   // Shard fabric (all zero for fused platforms). Digests fold the message
   // counts — shard-layout-invariant, two per cross-kernel IO — and the
   // epoch count: barriers snap to global next-event times, so any sharded
   // layout of the same scenario executes the identical epoch sequence.
-  // Only shard_count (pure execution layout) and the tripwire stay out.
-  uint32_t shard_count = 0;
-  uint64_t shard_messages_posted = 0;
-  uint64_t shard_messages_delivered = 0;
-  uint64_t shard_undelivered = 0;
-  uint64_t shard_epochs = 0;
-  // Envelopes delivered behind the destination clock — nonzero means a
-  // post delivered less than one window ahead of its source's clock.
-  uint64_t shard_late_deliveries = 0;
+  // shard_count (pure execution layout), exchange_allocs (layout-
+  // dependent) and the tripwires undelivered and late_deliveries stay out.
+  platforms::ShardStats shards;
 
   // Continuous profiling (DESIGN.md §15). For sharded platforms this is
   // the barrier-merged aggregator, so folding it into the digest pins the

@@ -156,6 +156,8 @@ TEST(PaperRecovery, Table8SimulatedSocValidation) {
   hash.chained = true;
   workload.components = {serialize, hash};
   double modeled = model::AccelModel(workload).AcceleratedE2e();
+  // The construction above is the reference for the simulator's own.
+  EXPECT_EQ(sim.ModeledChained(unaccel), modeled);
   double measured = chained.total.ToSeconds();
   ASSERT_GT(modeled, 0);
   EXPECT_LT(std::fabs(modeled - measured) / modeled, 0.15)

@@ -88,7 +88,7 @@ class FusedPlatform {
   Count RunBatch(uint64_t queries, double rate_qps) {
     const uint64_t completed = engine_->queries_completed();
     const uint64_t before = g_allocation_count.load();
-    engine_->Run(queries, rate_qps, nullptr);
+    engine_->Run(queries, rate_qps);
     simulator_.Run();
     Count count;
     count.allocations = g_allocation_count.load() - before;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,42 @@
 
 namespace hyperprof::platforms {
 namespace {
+
+/** Records every request, then hands it to the filesystem. */
+class RecordingIoPort : public IoPort {
+ public:
+  explicit RecordingIoPort(storage::DistributedFileSystem* dfs)
+      : direct_(dfs) {}
+
+  void Submit(const IoRequest& request,
+              storage::DistributedFileSystem::ReadCallback on_done) override {
+    requests.push_back(request);
+    direct_.Submit(request, std::move(on_done));
+  }
+
+  std::vector<IoRequest> requests;
+
+ private:
+  DirectIoPort direct_;
+};
+
+/**
+ * Requests per lane, in lane order, after checking that each lane's seq
+ * counts 0, 1, 2, ... in issue order.
+ */
+std::vector<uint64_t> RequestsPerLane(const std::vector<IoRequest>& requests) {
+  std::map<uint64_t, uint64_t> next_seq;
+  for (const IoRequest& request : requests) {
+    EXPECT_EQ(request.seq, next_seq[request.lane]++)
+        << "lane " << request.lane;
+  }
+  std::vector<uint64_t> counts;
+  for (const auto& [lane, count] : next_seq) {
+    EXPECT_EQ(lane, counts.size());
+    counts.push_back(count);
+  }
+  return counts;
+}
 
 /** Minimal substrate wired for a single engine. */
 class EngineTest : public ::testing::Test {
@@ -73,10 +111,8 @@ class EngineTest : public ::testing::Test {
 
 TEST_F(EngineTest, CompletesAllQueries) {
   PlatformEngine engine(Context(), SimpleSpec(), Rng(7));
-  bool all_done = false;
-  engine.Run(50, 1000.0, [&] { all_done = true; });
+  engine.Run(50, 1000.0);
   simulator_.Run();
-  EXPECT_TRUE(all_done);
   EXPECT_EQ(engine.queries_completed(), 50u);
 }
 
@@ -85,15 +121,56 @@ TEST_F(EngineTest, RunAbortsOnNonPositiveArrivalRate) {
   // arrival gap infinite, negative or NaN, the kernel would clamp each
   // arrival to now, and the run would "complete" every query at once.
   PlatformEngine engine(Context(), SimpleSpec(), Rng(7));
-  EXPECT_DEATH(engine.Run(200, 0.0, [] {}), "arrival_rate_qps is 0");
-  EXPECT_DEATH(engine.Run(200, -5.0, [] {}), "arrival_rate_qps is -5");
-  EXPECT_DEATH(engine.Run(200, std::nan(""), [] {}),
+  EXPECT_DEATH(engine.Run(200, 0.0), "arrival_rate_qps is 0");
+  EXPECT_DEATH(engine.Run(200, -5.0), "arrival_rate_qps is -5");
+  EXPECT_DEATH(engine.Run(200, std::nan("")),
                "arrival_rate_qps is -?nan");
+}
+
+TEST_F(EngineTest, LaneIsTheGlobalQueryIndex) {
+  // A fused Run gives query i lane i, as a sharded one does; ticketed
+  // admissions count their own lanes from 0. Every SimpleSpec query
+  // issues two reads, so each lane carries seq 0 and 1.
+  RecordingIoPort port(&dfs_);
+  EngineContext context = Context();
+  context.io = &port;
+  PlatformEngine engine(context, SimpleSpec(), Rng(7));
+  engine.Run(20, 1000.0);
+  simulator_.Run();
+  EXPECT_EQ(RequestsPerLane(port.requests), std::vector<uint64_t>(20, 2));
+
+  port.requests.clear();
+  std::vector<uint64_t> tickets;
+  engine.SetServingSink(
+      [](void* ctx, uint64_t ticket, SimTime) {
+        static_cast<std::vector<uint64_t>*>(ctx)->push_back(ticket);
+      },
+      &tickets);
+  for (uint64_t ticket = 100; ticket < 105; ++ticket) engine.Submit(ticket);
+  simulator_.Run();
+  EXPECT_EQ(RequestsPerLane(port.requests), std::vector<uint64_t>(5, 2));
+  std::sort(tickets.begin(), tickets.end());
+  EXPECT_EQ(tickets, (std::vector<uint64_t>{100, 101, 102, 103, 104}));
+}
+
+TEST_F(EngineTest, SubmitAbortsOnShardedEngine) {
+  // Checked in every build: a sharded engine owns a fixed partition of
+  // its Run's queries, so a serving admission has no place in it.
+  EngineContext context = Context();
+  context.shard_count = 2;
+  PlatformEngine engine(context, SimpleSpec(), Rng(7));
+  engine.SetServingSink([](void*, uint64_t, SimTime) {}, nullptr);
+  EXPECT_DEATH(engine.Submit(1), "serving admission requires a fused engine");
+}
+
+TEST_F(EngineTest, SubmitAbortsBeforeServingSink) {
+  PlatformEngine engine(Context(), SimpleSpec(), Rng(7));
+  EXPECT_DEATH(engine.Submit(1), "called before SetServingSink");
 }
 
 TEST_F(EngineTest, EveryTraceHasAllPhaseKinds) {
   PlatformEngine engine(Context(), SimpleSpec(), Rng(7));
-  engine.Run(20, 1000.0, [] {});
+  engine.Run(20, 1000.0);
   simulator_.Run();
   ASSERT_EQ(tracer_.traces().size(), 20u);
   for (const auto& trace : tracer_.traces()) {
@@ -115,7 +192,7 @@ TEST_F(EngineTest, EveryTraceHasAllPhaseKinds) {
 
 TEST_F(EngineTest, SpansAreSequentialForSerialPhases) {
   PlatformEngine engine(Context(), SimpleSpec(), Rng(7));
-  engine.Run(5, 1000.0, [] {});
+  engine.Run(5, 1000.0);
   simulator_.Run();
   for (const auto& trace : tracer_.traces()) {
     // Compute span ends before the remote span starts (IO in between).
@@ -132,7 +209,7 @@ TEST_F(EngineTest, SpansAreSequentialForSerialPhases) {
 
 TEST_F(EngineTest, ProfilerReceivesComputeActivities) {
   PlatformEngine engine(Context(), SimpleSpec(), Rng(7));
-  engine.Run(50, 1000.0, [] {});
+  engine.Run(50, 1000.0);
   simulator_.Run();
   EXPECT_GT(profiler_.activities_recorded(), 0u);
   // ~50 queries x 1ms = 50ms of CPU time.
@@ -157,7 +234,7 @@ TEST_F(EngineTest, DeterministicAcrossRuns) {
     context.registry = &registry_;
     context.block_sampler = &blocks_;
     PlatformEngine engine(context, SimpleSpec(), Rng(seed));
-    engine.Run(30, 1000.0, [] {});
+    engine.Run(30, 1000.0);
     simulator.Run();
     return simulator.Now();
   };
@@ -170,7 +247,7 @@ TEST_F(EngineTest, FiniteWorkerPoolQueuesComputePhases) {
   spec.worker_cores = 1;  // force serialization of compute phases
   PlatformEngine engine(Context(), spec, Rng(7));
   // Arrive much faster than one core can serve 1ms compute phases.
-  engine.Run(20, 100000.0, [] {});
+  engine.Run(20, 100000.0);
   simulator_.Run();
   EXPECT_EQ(engine.queries_completed(), 20u);
   ASSERT_NE(engine.worker_pool(), nullptr);
@@ -201,7 +278,7 @@ TEST_F(EngineTest, OverlappingPhaseRunsConcurrently) {
   // Mark the IO phase as overlapping the compute phase.
   spec.query_types[0].phases[1].overlap_with_previous = true;
   PlatformEngine engine(Context(), spec, Rng(7));
-  engine.Run(10, 1000.0, [] {});
+  engine.Run(10, 1000.0);
   simulator_.Run();
   bool saw_overlap = false;
   for (const auto& trace : tracer_.traces()) {

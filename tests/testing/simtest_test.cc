@@ -149,32 +149,32 @@ TEST(Invariants, PerturbedCountersAreCaught) {
       {"tracer-bookkeeping",
        [](RunArtifacts& run) { run.platforms[0].queries_seen += 1; }},
       {"kernel-quiesce",
-       [](RunArtifacts& run) { run.platforms[0].pending_events = 3; }},
+       [](RunArtifacts& run) { run.platforms[0].totals.pending_events = 3; }},
       {"dfs-conservation",
        [](RunArtifacts& run) {
          run.platforms[0].servers.at(0).tier_reads[0] += 1;
        }},
       {"rpc-accounting",
        [](RunArtifacts& run) {
-         run.platforms[0].hedge_wins =
-             run.platforms[0].hedges_issued + 1;
+         run.platforms[0].totals.hedge_wins =
+             run.platforms[0].totals.hedges_issued + 1;
        }},
       {"fault-gating",
        [](RunArtifacts& run) {
-         run.platforms[0].injected_drops =
-             run.platforms[0].fault_decisions + 1;
+         run.platforms[0].totals.injected_drops =
+             run.platforms[0].totals.fault_decisions + 1;
        }},
       {"shard-exchange",
        [](RunArtifacts& run) {
          // A fused run reporting stranded envelopes is inconsistent either
          // way: fabric activity without shards, or an undrained mailbox.
-         run.platforms[0].shard_undelivered = 1;
+         run.platforms[0].shards.undelivered = 1;
        }},
       {"shard-exchange",
        [](RunArtifacts& run) {
          // Late deliveries mean a post delivered less than one window
          // ahead and the conservative window broke — flagged in any mode.
-         run.platforms[0].shard_late_deliveries = 1;
+         run.platforms[0].shards.late_deliveries = 1;
        }},
       {"continuous-windows",
        [](RunArtifacts& run) {
@@ -297,9 +297,9 @@ TEST(Invariants, ShardModeEpochCorruptionsAreCaught) {
   };
   const Case cases[] = {
       // A fused platform running epochs has no fabric to run them on.
-      {0, [](RunArtifacts& run) { run.platforms[0].shard_epochs = 1; }},
+      {0, [](RunArtifacts& run) { run.platforms[0].shards.epochs = 1; }},
       // A sharded fabric that carried traffic must have run epochs.
-      {2, [](RunArtifacts& run) { run.platforms[0].shard_epochs = 0; }},
+      {2, [](RunArtifacts& run) { run.platforms[0].shards.epochs = 0; }},
   };
   for (const auto& c : cases) {
     SimtestOptions options = PrimaryOnly();
@@ -337,7 +337,7 @@ TEST(Invariants, CorruptedEpochCountBreaksReplayDigest) {
   SeedReport clean = RunSeed(1, options);
   EXPECT_TRUE(clean.ok()) << clean.Summary();
   options.corrupt = [](RunArtifacts& run) {
-    run.platforms[0].shard_epochs += 1;
+    run.platforms[0].shards.epochs += 1;
   };
   SeedReport report = RunSeed(1, options);
   bool replay_flagged = false;
