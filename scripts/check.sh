@@ -36,7 +36,7 @@
 #                               # worker kernels per platform (N=0 forces
 #                               # the fused path), pinning the sharded
 #                               # determinism contract — under TSan this
-#                               # sweeps the epoch-barrier fabric for races
+#                               # runs sharded platforms on pool threads
 #   PERFBENCH=1 scripts/check.sh
 #                               # additionally builds the repository
 #                               # benchmark (perfbench/, its own optimized,
@@ -49,19 +49,11 @@
 #                               # pin (scripts/perfbench_smoke.sh, shared
 #                               # with CI)
 #   BENCH=1 scripts/check.sh    # additionally smoke-runs the kernel
-#                               # microbenchmarks (short min-time) and the
-#                               # fleet sharding scaling bench so the
-#                               # dispatch-pinned hot paths and the
-#                               # multi-kernel epoch loop execute under
-#                               # whichever sanitizer the build uses. The
-#                               # sharding bench doubles as a perf-smoke
-#                               # guard: on a 2+-core unsanitized host it
-#                               # fails if any sharded point that fits the
-#                               # cores drops below 0.9x the 1-shard
-#                               # events/sec baseline (skipped with a
-#                               # printed reason on 1-core or sanitized
-#                               # runs), and on any host it fails if a
-#                               # warmed-up exchange path heap-allocates
+#                               # microbenchmarks (short min-time) so the
+#                               # dispatch-pinned hot paths execute under
+#                               # whichever sanitizer the build uses, plus
+#                               # the continuous-profiling and serving
+#                               # benches in smoke mode
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -151,9 +143,6 @@ if [[ "${BENCH:-0}" != "0" ]]; then
   "$BUILD_DIR/bench/kernels_micro" \
     --benchmark_filter='BM_(Crc32c|Varint|Sha3|Compress|MessageRoundTrip)' \
     --benchmark_min_time=0.05
-  # Fleet sharding scaling bench in smoke mode: drives the concurrent
-  # epoch loop, the cross-kernel fabric, and the trace/profiler merge.
-  "$BUILD_DIR/bench/fleet_scale_micro" /tmp/fleet_scale_smoke.json --smoke
   # Continuous-profiling bench in smoke mode: windowed Observe/seal/merge
   # plus the flamegraph and pprof exporters under the build's sanitizers;
   # exits nonzero if the warmed windowed path heap-allocates.

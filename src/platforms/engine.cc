@@ -218,7 +218,7 @@ void PlatformEngine::Launch(const Arrival& arrival, bool has_ticket,
   // Queries originate on worker hosts spread over four clusters.
   query->client = net::NodeId{
       0, static_cast<uint32_t>(draw.NextBounded(4)),
-      static_cast<uint32_t>(draw.NextBounded(context_.worker_hosts))};
+      static_cast<uint32_t>(draw.NextBounded(kWorkerHosts))};
   const profiling::NameId type_name = type_name_ids_[arrival.type_index];
   if (sharded_) {
     // The sampling decision comes from the query stream (not the tracer's)
@@ -424,7 +424,6 @@ void PlatformEngine::RunRemotePhase(QueryRef query,
   op->name = info.name_id;
   op->done = std::move(done);
   Rng& draw = DrawStream(*query);
-  const uint32_t hosts = context_.worker_hosts;
   if (phase.use_shuffle) {
     // Execute a real distributed shuffle: fanout mappers stream to
     // fanout reducers; the span covers the shuffle makespan.
@@ -432,7 +431,6 @@ void PlatformEngine::RunRemotePhase(QueryRef query,
     params.num_mappers = phase.fanout;
     params.num_reducers = phase.fanout;
     params.bytes_per_mapper = phase.request_bytes;
-    params.worker_hosts = hosts;
     params.private_rpc_draws = sharded_;
     if (op->shuffle) {
       op->shuffle->Reset(params, draw.Fork());
@@ -454,11 +452,11 @@ void PlatformEngine::RunRemotePhase(QueryRef query,
         op->acceptors.push_back(
             net::NodeId{static_cast<uint32_t>(i % 3),
                         static_cast<uint32_t>(draw.NextBounded(4)),
-                        static_cast<uint32_t>(draw.NextBounded(hosts))});
+                        static_cast<uint32_t>(draw.NextBounded(kWorkerHosts))});
       } else {
         op->acceptors.push_back(
             net::NodeId{0, static_cast<uint32_t>(i % 4),
-                        static_cast<uint32_t>(draw.NextBounded(hosts))});
+                        static_cast<uint32_t>(draw.NextBounded(kWorkerHosts))});
       }
     }
     consensus::PaxosParams params;
@@ -491,10 +489,10 @@ void PlatformEngine::RunRemotePhase(QueryRef query,
     if (phase.cross_region) {
       peer = net::NodeId{1 + static_cast<uint32_t>(draw.NextBounded(2)),
                          static_cast<uint32_t>(draw.NextBounded(4)),
-                         static_cast<uint32_t>(draw.NextBounded(hosts))};
+                         static_cast<uint32_t>(draw.NextBounded(kWorkerHosts))};
     } else {
       peer = net::NodeId{0, static_cast<uint32_t>(draw.NextBounded(4)),
-                         static_cast<uint32_t>(draw.NextBounded(hosts))};
+                         static_cast<uint32_t>(draw.NextBounded(kWorkerHosts))};
     }
     net::RpcOptions options;
     options.method = info.method;  // pre-built, no per-RPC allocation

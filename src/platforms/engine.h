@@ -94,9 +94,6 @@ struct EngineContext {
   uint32_t shard_index = 0;
   uint32_t shard_count = 0;  // 0 = legacy fused mode
   uint64_t stream_seed = 0;  // base of the per-query derived streams
-  // Simulated worker hosts per cluster that clients/peers are drawn
-  // from; 64 matches the legacy draws bit-for-bit.
-  uint32_t worker_hosts = 64;
 };
 
 /**

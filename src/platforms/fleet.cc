@@ -4,6 +4,7 @@
 #include <cassert>
 #include <tuple>
 
+#include "common/record_pool.h"
 #include "common/thread_pool.h"
 #include "platforms/platforms.h"
 #include "storage/provisioning.h"
@@ -16,6 +17,12 @@ namespace {
 // Any fixed value works: the merge is a deterministic replay, and this
 // constant is the only randomness source it constructs.
 constexpr uint64_t kMergeSeed = 0x9e3779b97f4a7c15ULL;
+
+// A sharded platform's epoch window: the one-way worker<->storage fabric
+// latency, and so the lookahead that makes the shard group's epochs
+// sound. It is part of the model (fleet_sharded's pinned digest depends
+// on it); the shard count is not.
+constexpr SimTime kShardWindow = SimTime::Micros(50);
 
 // Trace options the fleet config asks for: the fused tracer's and the
 // sharded merge's.
@@ -46,9 +53,9 @@ profiling::ContinuousOptions ContinuousOptionsFrom(const FleetConfig& config,
  * shard window — the modeled worker<->fileserver fabric latency that makes
  * the group's conservative epochs sound. The (lane, seq) key travels with
  * both hops; request and reply stay distinct because they differ in
- * destination. Both hops capture only the shared Request record, which
- * also carries the reply's IoResult, so every payload fits an envelope
- * inline.
+ * destination. Both hops capture only the fabric and a pooled Request
+ * record, which also carries the reply's IoResult, so every payload fits
+ * an envelope inline and a warmed fabric allocates nothing per IO.
  */
 class ShardIoFabric : public IoPort {
  public:
@@ -62,40 +69,33 @@ class ShardIoFabric : public IoPort {
 
   void Submit(const IoRequest& request,
               storage::DistributedFileSystem::ReadCallback on_done) override {
-    auto req = std::make_shared<Request>();
-    req->fabric = this;
+    RequestRef req = requests_.Acquire();
     req->io = request;
     req->on_done = std::move(on_done);
     group_->Post(request.shard, storage_index_,
                  kernels_[request.shard]->Now() + group_->window(),
-                 request.lane, request.seq,
-                 [req]() { req->fabric->Serve(req); });
+                 request.lane, request.seq, [this, req]() { Serve(req); });
   }
 
  private:
+  /** One IO in flight over the fabric. */
   struct Request {
-    ShardIoFabric* fabric = nullptr;
     IoRequest io;
     storage::DistributedFileSystem::ReadCallback on_done;
     // Set on the storage kernel, read on the worker after the reply hop.
     storage::IoResult result;
-  };
 
-  void Serve(const std::shared_ptr<Request>& req) {
-    storage_.Submit(req->io, [req](const storage::IoResult& io) {
+    void Recycle() { on_done = nullptr; }
+  };
+  using RequestRef = RecordPool<Request>::Ref;
+
+  void Serve(const RequestRef& req) {
+    storage_.Submit(req->io, [this, req](const storage::IoResult& io) {
       req->result = io;
-      ShardIoFabric* fabric = req->fabric;
-      fabric->group_->Post(
-          fabric->storage_index_, req->io.shard,
-          fabric->kernels_[fabric->storage_index_]->Now() +
-              fabric->group_->window(),
-          req->io.lane, req->io.seq, [req]() {
-            req->on_done(req->result);
-            // The storage kernel may hold the last reference to `req`: drop
-            // the engine's callback here, on the worker that owns the
-            // records it points into.
-            req->on_done = nullptr;
-          });
+      group_->Post(storage_index_, req->io.shard,
+                   kernels_[storage_index_]->Now() + group_->window(),
+                   req->io.lane, req->io.seq,
+                   [req]() { req->on_done(req->result); });
     });
   }
 
@@ -103,6 +103,7 @@ class ShardIoFabric : public IoPort {
   std::vector<sim::Simulator*> kernels_;
   uint32_t storage_index_;
   DirectIoPort storage_;  // the filesystem, on the storage kernel
+  RecordPool<Request> requests_;
 };
 
 }  // namespace
@@ -148,7 +149,6 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
   EngineContext context;
   context.block_sampler = slot->block_sampler.get();
   context.registry = &registry_;
-  context.worker_hosts = config_.worker_hosts;
   profiling::TracerOptions tracer_options = TracerOptionsFrom(config_);
   if (sharded) {
     for (uint32_t k = 0; k < shards; ++k) {
@@ -160,7 +160,7 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
       kernels.push_back(kernel.simulator.get());
     }
     slot->group =
-        std::make_unique<sim::ShardGroup>(kernels, config_.shard_window);
+        std::make_unique<sim::ShardGroup>(kernels, kShardWindow);
     slot->io = std::make_unique<ShardIoFabric>(slot->group.get(), kernels,
                                                slot->dfs.get());
     context.shard_count = shards;
@@ -352,7 +352,7 @@ void FleetSimulation::Start() {
 }
 
 bool FleetSimulation::AdvanceSlot(PlatformSlot& slot, SimTime until) {
-  if (slot.group) return slot.group->Advance(until, /*parallel=*/false);
+  if (slot.group) return slot.group->Advance(until);
   sim::Simulator& kernel = *slot.storage().simulator;
   profiling::ContinuousProfiler* continuous = slot.engines[0].continuous.get();
   if (until == SimTime::Max()) {
@@ -378,9 +378,9 @@ bool FleetSimulation::Advance(SimTime until) {
   return more;
 }
 
-void FleetSimulation::FinishSlot(PlatformSlot& slot, bool parallel) {
+void FleetSimulation::FinishSlot(PlatformSlot& slot) {
   if (slot.group) {
-    slot.group->Advance(SimTime::Max(), parallel);
+    slot.group->Advance(SimTime::Max());
     FinalizePlatform(slot);
   } else {
     slot.storage().simulator->Run();
@@ -395,16 +395,14 @@ void FleetSimulation::FinishSlot(PlatformSlot& slot, bool parallel) {
 void FleetSimulation::Finish() {
   assert(started_ && !finished_);
   finished_ = true;
-  for (auto& slot_ptr : slots_) FinishSlot(*slot_ptr, /*parallel=*/false);
+  for (auto& slot_ptr : slots_) FinishSlot(*slot_ptr);
 }
 
 void FleetSimulation::RunAll() {
-  // parallelism <= 1 selects the fully serial path: no pool, no shard
-  // runner threads. Otherwise the pool spreads whole platforms and
-  // sharded platforms spawn their own runners (one thread per kernel);
-  // with several sharded platforms this oversubscribes cores rather than
-  // serializing kernels — wall-clock only, results are bit-identical
-  // either way.
+  // parallelism <= 1 selects the fully serial path: no pool. Otherwise
+  // the pool spreads whole platforms, each with all of its kernels, one
+  // job per platform — wall-clock only, results are bit-identical either
+  // way.
   const size_t threads = ThreadPool::ResolveParallelism(config_.parallelism);
   if (threads <= 1) {
     Start();
@@ -421,7 +419,7 @@ void FleetSimulation::RunAll() {
   ThreadPool pool(std::min(threads, slots_.size()));
   pool.ParallelFor(slots_.size(), [this](size_t index) {
     StartSlot(*slots_[index]);
-    FinishSlot(*slots_[index], /*parallel=*/true);
+    FinishSlot(*slots_[index]);
   });
 }
 
@@ -594,7 +592,7 @@ FleetMemoryStats FleetSimulation::MemoryStats() const {
     }
     // Four clusters of worker hosts per platform region (the client and
     // fan-out draw space of the engine).
-    stats.simulated_workers += 4ULL * config_.worker_hosts;
+    stats.simulated_workers += 4ULL * kWorkerHosts;
     stats.block_table_bytes += slot->block_sampler->memory_bytes();
     stats.cache_bytes += slot->dfs->memory_bytes();
   }

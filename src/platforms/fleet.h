@@ -43,21 +43,12 @@ struct FleetConfig {
   // 0 (the default) is the legacy fused platform: one event kernel runs
   // the engine and the storage plane together, bit-identical to every
   // prior release. N > 0 splits the platform into N worker kernels plus
-  // one storage kernel coordinated by sim::ShardGroup in conservative
-  // epochs; recovered results are bit-identical for every N >= 1 (see
-  // DESIGN.md §13), though the sharded timing model differs from the
-  // fused one (storage hops carry the explicit 2x shard_window fabric
-  // latency).
+  // one storage kernel, which sim::ShardGroup runs in conservative epochs
+  // on one thread; recovered results are bit-identical for every N >= 1
+  // (see DESIGN.md §13), though the sharded timing model differs from the
+  // fused one (each storage hop carries a fixed 50 us fabric latency, the
+  // epoch window).
   uint32_t shards_per_platform = 0;
-  // Conservative-lookahead window = the one-way worker<->storage fabric
-  // latency. Larger windows mean fewer barriers (better wall-clock
-  // scaling) and higher modeled IO latency; the window is part of the
-  // model, so changing it changes results — the shard *count* never does.
-  SimTime shard_window = SimTime::Micros(50);
-  // Simulated worker hosts per cluster that clients and fan-out peers are
-  // drawn from. 64 reproduces the legacy draws bit-for-bit; scale it
-  // together with shards_per_platform to simulate 100k-worker platforms.
-  uint32_t worker_hosts = 64;
   // Trace retention: kRetainAll keeps every sampled trace for ablation
   // studies (the default); kSampleReservoir keeps only a bounded export
   // sample and folds everything into the streaming breakdown, making
@@ -152,7 +143,7 @@ struct ShardStats {
   // Always 0: no epoch spans more than one window. Kept because existing
   // readers (the perfbench harness) still report it.
   uint64_t coalesced_epochs = 0;
-  // Exchange-path heap allocations (mailbox/arena growth); zero at a
+  // Exchange-path heap allocations (mailbox growth); zero at a
   // warmed-up steady state. Layout-dependent — reporting only.
   uint64_t exchange_allocs = 0;
   // Envelopes that arrived in a kernel's past; nonzero means a Post broke
@@ -207,10 +198,10 @@ class FleetSimulation {
   /**
    * Runs every platform's workload to completion through the same
    * per-platform steps as Start() and Finish(). When config.parallelism
-   * resolves to more than one thread, each platform runs both steps as
-   * one job on a thread pool and sharded platforms add one runner thread
-   * per kernel; results are bit-identical either way. Replaces the whole
-   * Start/Advance/Finish sequence — call one or the other.
+   * resolves to more than one thread, each platform runs both steps, with
+   * all of its kernels, as one job on a thread pool; results are
+   * bit-identical either way. Replaces the whole Start/Advance/Finish
+   * sequence — call one or the other.
    */
   void RunAll();
 
@@ -233,7 +224,7 @@ class FleetSimulation {
    * Advances every platform to virtual time `until` and pauses. Returns
    * true while any platform still has pending work (events beyond
    * `until`, or in-flight serving queries). Sharded platforms pause
-   * mid-epoch without flipping mailboxes (sim::ShardGroup::Advance);
+   * mid-epoch without closing it (sim::ShardGroup::Advance);
    * fused platforms also advance their continuous profiler so live
    * window snapshots are current up to `until`.
    */
@@ -386,12 +377,8 @@ class FleetSimulation {
   /** Advances one platform to `until`; returns true if work remains. */
   bool AdvanceSlot(PlatformSlot& slot, SimTime until);
 
-  /**
-   * Drains one platform and runs its post-run finalizers (any thread).
-   * `parallel` lets a sharded platform spawn per-kernel runner threads;
-   * it has no effect on fused platforms and never on results.
-   */
-  void FinishSlot(PlatformSlot& slot, bool parallel);
+  /** Drains one platform and runs its post-run finalizers (any thread). */
+  void FinishSlot(PlatformSlot& slot);
 
   FleetConfig config_;
   profiling::FunctionRegistry registry_;

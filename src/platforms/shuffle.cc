@@ -63,13 +63,13 @@ void ShuffleOperation::Run(const net::NodeId& coordinator,
   for (size_t r = 0; r < reducers; ++r) {
     reducers_.push_back(net::NodeId{
         coordinator.region, static_cast<uint32_t>(r % 4),
-        static_cast<uint32_t>(rng_.NextBounded(params_.worker_hosts))});
+        static_cast<uint32_t>(rng_.NextBounded(kWorkerHosts))});
   }
 
   for (int m = 0; m < params_.num_mappers; ++m) {
     net::NodeId mapper{coordinator.region, coordinator.cluster,
                        static_cast<uint32_t>(
-                           rng_.NextBounded(params_.worker_hosts))};
+                           rng_.NextBounded(kWorkerHosts))};
     PartitionBytes();
     // Mapper-side partition/serialize time before streams depart.
     SimTime partition_time = SimTime::FromSeconds(

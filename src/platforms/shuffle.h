@@ -13,6 +13,12 @@
 namespace hyperprof::platforms {
 
 /**
+ * Simulated worker hosts per cluster: query clients, fan-out peers, Paxos
+ * acceptors, shuffle mappers and reducers are all drawn from this many.
+ */
+inline constexpr uint32_t kWorkerHosts = 64;
+
+/**
  * Distributed shuffle — the remote-work engine of the paper's BigQuery
  * architecture (Figure 1c): every map worker partitions its output by
  * key hash and streams each partition to its reducer; a reducer finishes
@@ -37,10 +43,6 @@ struct ShuffleParams {
   double merge_bytes_per_second = 4.0e9;
   // Mapper-side partitioning/serialization rate.
   double partition_bytes_per_second = 4.0e9;
-  // Simulated worker hosts per cluster that mappers/reducers are drawn
-  // from. Matches the engine's client population; raised by fleet-scale
-  // runs.
-  uint32_t worker_hosts = 64;
   // Route the per-stream RPC network/fault draws through this operation's
   // private rng rather than the RpcSystem's stream. Shard engines set
   // this so co-resident queries cannot perturb each other's draws.

@@ -170,10 +170,12 @@ void ContinuousProfiler::MergeFrom(const ContinuousProfiler& shard) {
     WindowSlot& dst = SlotFor(src.index);
     if (dst.index != src.index) {
       if (!dst.empty() && dst.index > src.index) {
-        // The ring already wrapped past this window; merging it into a
-        // newer slot would corrupt that window, so it is dropped and
-        // counted (the fleet sizes history to cover the run span).
-        ++merge_drops_;
+        // The ring already holds a newer window in this slot. One ring
+        // seeing both windows in time order would have evicted this one
+        // when the newer one claimed the slot, so count it the same way
+        // (shard rings that each span less than the history can together
+        // span more).
+        ++windows_evicted_;
         continue;
       }
       ClaimSlot(src.index);

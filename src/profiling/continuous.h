@@ -157,12 +157,14 @@ class ContinuousProfiler {
   uint64_t anomalies_dropped() const { return anomalies_dropped_; }
 
   uint64_t observed_queries() const { return observed_queries_; }
-  /** Populated windows evicted from the ring before merge/inspection. */
+  /**
+   * Populated windows evicted from the ring before merge/inspection,
+   * including shard windows a merge found older than the ring's occupant
+   * of their slot.
+   */
   uint64_t windows_evicted() const { return windows_evicted_; }
   /** Observations for a window already sealed (should stay zero). */
   uint64_t late_observations() const { return late_observations_; }
-  /** MergeFrom slots dropped because the ring span could not hold them. */
-  uint64_t merge_drops() const { return merge_drops_; }
 
   const ContinuousOptions& options() const { return options_; }
   size_t memory_bytes() const;
@@ -192,7 +194,6 @@ class ContinuousProfiler {
   uint64_t observed_queries_ = 0;
   uint64_t windows_evicted_ = 0;
   uint64_t late_observations_ = 0;
-  uint64_t merge_drops_ = 0;
   mutable LatencySketch rolling_scratch_;
 };
 

@@ -460,7 +460,7 @@ void CheckBreakdownConsistency(const RunArtifacts& run, Out& out) {
 }
 
 /**
- * Shard-exchange conservation: the epoch-barrier fabric must deliver every
+ * Shard-exchange conservation: the epoch fabric must deliver every
  * envelope it accepted — a sharded platform quiesces only when all
  * cross-kernel mailboxes drain (DESIGN.md §13). Fused platforms report no
  * fabric at all.
@@ -505,9 +505,9 @@ void CheckShardExchange(const RunArtifacts& run, Out& out) {
 /**
  * Continuous-window conservation: every sampled query the tracer finished
  * landed in exactly one window, window sample counts agree with the query
- * counts, budget verdicts are consistent with the anomaly log, and the
- * merged aggregator dropped nothing. Holds for fused and shard-merged
- * profilers alike (DESIGN.md §15).
+ * counts, budget verdicts are consistent with the anomaly log, and a
+ * history that evicted nothing holds every observed query. Holds for
+ * fused and shard-merged profilers alike (DESIGN.md §15).
  */
 void CheckContinuousWindows(const RunArtifacts& run, Out& out) {
   for (const auto& p : run.platforms) {
@@ -516,15 +516,6 @@ void CheckContinuousWindows(const RunArtifacts& run, Out& out) {
       Report(out, "continuous-windows", p.name,
              StrFormat("%llu observations arrived behind the seal cursor",
                        static_cast<unsigned long long>(p.continuous_late)));
-    }
-    if (p.continuous_evicted == 0 && p.continuous_merge_drops != 0) {
-      // Barrier merges only drop windows the ring has wrapped past; with
-      // zero evictions anywhere there was nothing to wrap past.
-      Report(out, "continuous-windows", p.name,
-             StrFormat("%llu shard windows dropped at the merge barrier "
-                       "despite an unwrapped ring",
-                       static_cast<unsigned long long>(
-                           p.continuous_merge_drops)));
     }
     if (p.continuous_observed != p.queries_finished) {
       Report(out, "continuous-windows", p.name,
@@ -684,7 +675,6 @@ RunArtifacts CollectArtifacts(const platforms::FleetSimulation& fleet) {
       p.continuous_observed = continuous->observed_queries();
       p.continuous_evicted = continuous->windows_evicted();
       p.continuous_late = continuous->late_observations();
-      p.continuous_merge_drops = continuous->merge_drops();
     }
 
     run.platforms.push_back(std::move(p));

@@ -83,7 +83,6 @@ struct PlatformArtifacts {
   uint64_t continuous_observed = 0;
   uint64_t continuous_evicted = 0;
   uint64_t continuous_late = 0;
-  uint64_t continuous_merge_drops = 0;
 };
 
 /** Snapshot of one full fleet run plus the scenario facts checks rely on. */

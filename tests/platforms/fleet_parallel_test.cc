@@ -35,7 +35,7 @@ std::unique_ptr<FleetSimulation> RunFleet(uint32_t parallelism,
                                           uint64_t seed = 42,
                                           uint32_t shards = 0) {
   FleetConfig config;
-  // Sharded runs pay per-epoch barrier overhead at test scale; a smaller
+  // Sharded runs pay per-epoch overhead at test scale; a smaller
   // volume keeps the 1/2/3/8 sweep fast without weakening bit-identity.
   config.queries_per_platform = shards > 0 ? 200 : 400;
   config.trace_sample_one_in = 5;
@@ -206,9 +206,9 @@ TEST(FleetShardingTest, IncrementalAdvanceMatchesShardedReference) {
 }
 
 TEST(FleetShardingTest, ParallelShardedMatchesSerialSharded) {
-  // Per-kernel runner threads inside each platform's job on the
-  // hardware-default pool — must match both the serial 4-shard run and
-  // the 1-shard reference.
+  // Sharded platforms spread over the hardware-default pool, one job per
+  // platform with all of its kernels — must match both the serial 4-shard
+  // run and the 1-shard reference.
   auto parallel = RunFleet(/*parallelism=*/0, /*seed=*/42, /*shards=*/4);
   auto serial = RunFleet(/*parallelism=*/1, /*seed=*/42, /*shards=*/4);
   ExpectBitIdentical(*serial, *parallel);
@@ -343,7 +343,7 @@ TEST(FleetShardingTest, ContinuousProfilersSeeEveryQuery) {
     // totals cover exactly the sampled query population.
     EXPECT_EQ(continuous->observed_queries(), fleet.Result(p).queries_sampled);
     EXPECT_EQ(continuous->late_observations(), 0u);
-    EXPECT_EQ(continuous->merge_drops(), 0u);
+    EXPECT_EQ(continuous->windows_evicted(), 0u);
     EXPECT_GT(continuous->WindowsInHistory(), 0u);
     EXPECT_GT(continuous->RollingQuantile(profiling::WindowCategory::kLatency,
                                           0.5),

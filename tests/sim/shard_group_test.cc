@@ -5,7 +5,6 @@
 // This binary replaces the global allocator with the counting shim in
 // testing/counting_new.h; it must stay its own test executable so the
 // override can't leak into other suites.
-#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -35,11 +34,7 @@ struct LogEntry {
   }
 };
 
-/**
- * A ShardGroup over `n` kernels plus per-destination delivery logs. Each
- * log is only ever appended by its own kernel's runner, so the harness is
- * safe under parallel runs without locks.
- */
+/** A ShardGroup over `n` kernels plus per-destination delivery logs. */
 struct Harness {
   explicit Harness(size_t n) : logs(n) {
     kernels.reserve(n);
@@ -80,13 +75,13 @@ void PostHop(Harness* h, uint32_t from, uint64_t lane, uint64_t seq,
  * Runs the group to quiesce: one Advance(Max) call when `step` is Max,
  * otherwise Advance in `step` increments (pausing mid-epoch).
  */
-void RunToQuiesce(ShardGroup& group, bool parallel, SimTime step) {
+void RunToQuiesce(ShardGroup& group, SimTime step) {
   if (step == SimTime::Max()) {
-    EXPECT_FALSE(group.Advance(SimTime::Max(), parallel));
+    EXPECT_FALSE(group.Advance(SimTime::Max()));
     return;
   }
   SimTime until = SimTime::Zero();
-  while (group.Advance(until += step, parallel)) {
+  while (group.Advance(until += step)) {
   }
 }
 
@@ -113,11 +108,10 @@ TEST(ShardGroupTest, AllocationCounterIsLive) {
 // Two sources each post a burst to kernel 0 at the same deliver instant
 // with lanes in descending order (adversarial: the staging appends are
 // out of canonical order within each run, and the runs interleave), plus
-// a second wave one window later. Serial and parallel runs, one-shot and
-// stepped, must deliver in the identical canonical (deliver, lane, seq)
-// order.
+// a second wave one window later. One-shot and stepped runs must deliver
+// in the identical canonical (deliver, lane, seq) order.
 TEST(ShardGroupTest, CanonicalDeliveryUnderAdversarialInterleavings) {
-  auto run = [](bool parallel, SimTime step) {
+  auto run = [](SimTime step) {
     Harness h(3);
     for (uint32_t src : {1u, 2u}) {
       h.kernels[src]->Schedule(SimTime::Zero(), [&h, src] {
@@ -135,57 +129,51 @@ TEST(ShardGroupTest, CanonicalDeliveryUnderAdversarialInterleavings) {
         }
       });
     }
-    RunToQuiesce(*h.group, parallel, step);
+    RunToQuiesce(*h.group, step);
     EXPECT_EQ(h.group->late_deliveries(), 0u);
     EXPECT_EQ(h.group->undelivered(), 0u);
     return h.logs[0];
   };
-  std::vector<LogEntry> serial = run(false, SimTime::Max());
-  ASSERT_EQ(serial.size(), 12u);
-  EXPECT_EQ(serial, run(true, SimTime::Max()));
-  EXPECT_EQ(serial, run(false, kStep));
-  EXPECT_EQ(serial, run(true, kStep));
+  std::vector<LogEntry> one_shot = run(SimTime::Max());
+  ASSERT_EQ(one_shot.size(), 12u);
+  EXPECT_EQ(one_shot, run(kStep));
   // Canonical order: both waves ascend by lane regardless of post order.
   for (size_t i = 0; i < 6; ++i) {
-    EXPECT_EQ(serial[i].lane, i) << "wave 1 position " << i;
-    EXPECT_EQ(serial[6 + i].lane, i) << "wave 2 position " << i;
+    EXPECT_EQ(one_shot[i].lane, i) << "wave 1 position " << i;
+    EXPECT_EQ(one_shot[6 + i].lane, i) << "wave 2 position " << i;
   }
 }
 
-// Deep ping-pong chains leave envelopes in flight at every barrier; once
-// Advance returns false the group must account for all of them and the
-// kernels must be fully drained — serial and parallel, one-shot and
-// stepped alike, with identical delivery logs and epoch counts.
+// Deep ping-pong chains leave envelopes in flight at every epoch's end;
+// once Advance returns false the group must account for all of them and
+// the kernels must be fully drained — one-shot and stepped alike, with
+// identical delivery logs and epoch counts.
 TEST(ShardGroupTest, QuiesceWithInFlightEnvelopes) {
   std::vector<std::vector<LogEntry>> reference_logs;
   uint64_t reference_epochs = 0;
   for (SimTime step : {SimTime::Max(), kStep}) {
-    for (bool parallel : {false, true}) {
-      Harness h(3);
-      StartChains(&h, 0, /*lanes=*/5, /*hops=*/15);
-      RunToQuiesce(*h.group, parallel, step);
-      const bool stepped = step != SimTime::Max();
-      // 5 lanes x 16 messages (hop 0..15) each.
-      EXPECT_EQ(h.group->messages_posted(), 80u)
-          << "parallel=" << parallel << " stepped=" << stepped;
-      EXPECT_EQ(h.group->messages_delivered(), 80u);
-      EXPECT_EQ(h.group->undelivered(), 0u);
-      EXPECT_EQ(h.group->late_deliveries(), 0u);
-      size_t logged = 0;
-      for (const auto& log : h.logs) logged += log.size();
-      EXPECT_EQ(logged, 80u);
-      for (Simulator* kernel : h.kernels) {
-        EXPECT_EQ(kernel->pending_events(), 0u);
-        EXPECT_EQ(kernel->cancelled_events(), 0u);
-      }
-      if (reference_logs.empty()) {
-        reference_logs = h.logs;
-        reference_epochs = h.group->epochs();
-      } else {
-        EXPECT_EQ(h.logs, reference_logs)
-            << "parallel=" << parallel << " stepped=" << stepped;
-        EXPECT_EQ(h.group->epochs(), reference_epochs);
-      }
+    Harness h(3);
+    StartChains(&h, 0, /*lanes=*/5, /*hops=*/15);
+    RunToQuiesce(*h.group, step);
+    const bool stepped = step != SimTime::Max();
+    // 5 lanes x 16 messages (hop 0..15) each.
+    EXPECT_EQ(h.group->messages_posted(), 80u) << "stepped=" << stepped;
+    EXPECT_EQ(h.group->messages_delivered(), 80u);
+    EXPECT_EQ(h.group->undelivered(), 0u);
+    EXPECT_EQ(h.group->late_deliveries(), 0u);
+    size_t logged = 0;
+    for (const auto& log : h.logs) logged += log.size();
+    EXPECT_EQ(logged, 80u);
+    for (Simulator* kernel : h.kernels) {
+      EXPECT_EQ(kernel->pending_events(), 0u);
+      EXPECT_EQ(kernel->cancelled_events(), 0u);
+    }
+    if (reference_logs.empty()) {
+      reference_logs = h.logs;
+      reference_epochs = h.group->epochs();
+    } else {
+      EXPECT_EQ(h.logs, reference_logs) << "stepped=" << stepped;
+      EXPECT_EQ(h.group->epochs(), reference_epochs);
     }
   }
 }
@@ -197,7 +185,7 @@ TEST(ShardGroupTest, UndeliveredCountsBufferedEnvelopes) {
   });
   EXPECT_EQ(h.group->messages_posted(), 1u);
   EXPECT_EQ(h.group->undelivered(), 1u);
-  h.group->Advance(SimTime::Max(), /*parallel=*/false);
+  h.group->Advance(SimTime::Max());
   EXPECT_EQ(h.group->undelivered(), 0u);
   ASSERT_EQ(h.logs[0].size(), 1u);
 }
@@ -210,7 +198,7 @@ TEST(ShardGroupTest, LateDeliveryIsCountedAndClampedToNow) {
   Harness h(2);
   // Move both clocks well past the envelope's delivery time first.
   h.kernels[1]->Schedule(kWindow * 10, [] {});
-  EXPECT_FALSE(h.group->Advance(SimTime::Max(), /*parallel=*/false));
+  EXPECT_FALSE(h.group->Advance(SimTime::Max()));
   const SimTime clock = h.kernels[1]->Now();
   ASSERT_GT(clock, kWindow);
   EXPECT_EQ(h.group->late_deliveries(), 0u);
@@ -218,7 +206,7 @@ TEST(ShardGroupTest, LateDeliveryIsCountedAndClampedToNow) {
   h.group->Post(0, 1, kWindow, 7, 0, [&h] {
     h.logs[1].push_back({h.kernels[1]->Now().nanos(), 7, 0});
   });
-  EXPECT_FALSE(h.group->Advance(SimTime::Max(), /*parallel=*/false));
+  EXPECT_FALSE(h.group->Advance(SimTime::Max()));
   EXPECT_EQ(h.group->late_deliveries(), 1u);
   EXPECT_EQ(h.group->undelivered(), 0u);
   ASSERT_EQ(h.logs[1].size(), 1u);
@@ -237,10 +225,9 @@ TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
           [harness = &h, lane] { PostHop(harness, 0, lane, 0, 9); });
     }
   };
-  // Warm-up: grows mailboxes, kernel slot tables, heaps. Serial
-  // throughout: runner threads would allocate.
+  // Warm-up: grows mailboxes, kernel slot tables, heaps.
   workload();
-  h.group->Advance(SimTime::Max(), /*parallel=*/false);
+  h.group->Advance(SimTime::Max());
   EXPECT_EQ(h.group->messages_delivered(), 40u);
   uint64_t warmed_allocs = h.group->exchange_allocs();
   EXPECT_GT(warmed_allocs, 0u);  // the mailboxes did grow
@@ -249,7 +236,7 @@ TEST(ShardGroupTest, SteadyStateExchangeAllocatesNothing) {
   for (auto& log : h.logs) log.clear();
   uint64_t heap_before = g_allocation_count.load(std::memory_order_relaxed);
   workload();
-  h.group->Advance(SimTime::Max(), /*parallel=*/false);
+  h.group->Advance(SimTime::Max());
   uint64_t heap_after = g_allocation_count.load(std::memory_order_relaxed);
   EXPECT_EQ(heap_after - heap_before, 0u);
   EXPECT_EQ(h.group->exchange_allocs(), warmed_allocs);
