@@ -75,11 +75,14 @@ PlatformEngine::PlatformEngine(EngineContext context, PlatformSpec spec,
 
   symbols_.resize(profiling::kNumFnCategories);
   for (size_t i = 0; i < profiling::kNumFnCategories; ++i) {
-    symbols_[i] =
+    std::vector<std::string> pool =
         context_.registry->SymbolsFor(static_cast<FnCategory>(i));
-    if (symbols_[i].empty()) {
+    if (pool.empty()) {
       // Deliberately unknown symbol: exercises the Uncategorized path.
-      symbols_[i].push_back(spec_.name + "::internal::unknown_leaf");
+      pool.push_back(spec_.name + "::internal::unknown_leaf");
+    }
+    for (const std::string& symbol : pool) {
+      symbols_[i].push_back(context_.profiler->InternSymbol(symbol));
     }
   }
   if (spec_.worker_cores > 0) {
@@ -301,7 +304,7 @@ void PlatformEngine::RunComputePhase(QueryRef query,
     double duration = std::min(
         budget, draw.NextExponential(spec_.activity_mean_seconds));
     const auto& pool = symbols_[category_index];
-    const std::string& symbol = pool[draw.NextBounded(pool.size())];
+    profiling::NameId symbol = pool[draw.NextBounded(pool.size())];
     FnCategory category = static_cast<FnCategory>(category_index);
     const auto& microarch =
         spec_.microarch[static_cast<size_t>(BroadOf(category))];

@@ -277,8 +277,9 @@ class PlatformEngine {
   std::unique_ptr<AliasSampler> type_sampler_;
   std::unique_ptr<AliasSampler> mix_sampler_;
   std::vector<size_t> mix_categories_;  // categories with nonzero weight
-  // Symbols per fine category, resolved once from the registry.
-  std::vector<std::vector<std::string>> symbols_;
+  // Symbols per fine category, resolved once from the registry and
+  // interned into the profiler.
+  std::vector<std::vector<profiling::NameId>> symbols_;
   // Finite worker-CPU pool when spec.worker_cores > 0 (else null).
   std::unique_ptr<sim::Resource> worker_pool_;
   // Interned names, resolved once at construction so the per-query path

@@ -13,9 +13,9 @@ namespace hyperprof::platforms {
 
 namespace {
 
-// Seed of the merged tracer's reservoir stream and the merged profiler.
-// Any fixed value works: the merge is a deterministic replay, and this
-// constant is the only randomness source it constructs.
+// Seed of the merged tracer's reservoir stream. Any fixed value works:
+// the merge is a deterministic replay, and this constant is the only
+// randomness source it constructs.
 constexpr uint64_t kMergeSeed = 0x9e3779b97f4a7c15ULL;
 
 // A sharded platform's epoch window: the one-way worker<->storage fabric
@@ -145,10 +145,16 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
   Rng tracer_rng = platform_rng.Fork();
   Rng profiler_rng = platform_rng.Fork();
   Rng engine_rng = platform_rng.Fork();
+  // One CPU profiler for the platform. A fused engine samples from the
+  // profiler's own stream, sharded engines from each query's stream, so
+  // every engine of either shape records into this one.
+  slot->profiler = std::make_unique<profiling::CpuProfiler>(
+      config_.profiler_period, config_.cpu_hz, std::move(profiler_rng));
 
   EngineContext context;
   context.block_sampler = slot->block_sampler.get();
   context.registry = &registry_;
+  context.profiler = slot->profiler.get();
   profiling::TracerOptions tracer_options = TracerOptionsFrom(config_);
   if (sharded) {
     for (uint32_t k = 0; k < shards; ++k) {
@@ -167,8 +173,8 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
     // One base for the per-query derived streams, shared by every worker:
     // a query's stream depends on its global index alone, which is the
     // whole reason any shard count recovers bit-identical results. The
-    // workers' own tracer/profiler/rpc/fault streams are never consumed,
-    // so their seeds only need to be deterministic.
+    // workers' own tracer/rpc/fault streams are never consumed, so their
+    // seeds only need to be deterministic.
     context.stream_seed = engine_rng.Next();
     // Worker-pool contention is a fused-mode feature: a finite core pool
     // is cross-query mutable state, which sharded determinism forbids.
@@ -183,8 +189,8 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
   context.io = slot->io.get();
 
   // A fused platform's one engine runs on the storage kernel and uses the
-  // tracer, profiler and engine streams directly; each sharded worker
-  // forks its own from them.
+  // tracer and engine streams directly; each sharded worker forks its own
+  // from them.
   for (uint32_t k = 0; k < std::max(shards, 1u); ++k) {
     PlatformSlot::Kernel& kernel = slot->kernels[k];
     if (sharded) {
@@ -196,9 +202,6 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
     engine.tracer = std::make_unique<profiling::Tracer>(
         config_.trace_sample_one_in,
         sharded ? tracer_rng.Fork() : tracer_rng, tracer_options);
-    engine.profiler = std::make_unique<profiling::CpuProfiler>(
-        config_.profiler_period, config_.cpu_hz,
-        sharded ? profiler_rng.Fork() : profiler_rng);
     if (config_.continuous_window > SimTime::Zero()) {
       engine.continuous = std::make_unique<profiling::ContinuousProfiler>(
           ContinuousOptionsFrom(config_, /*defer=*/sharded));
@@ -206,7 +209,6 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
     context.simulator = kernel.simulator.get();
     context.rpc = kernel.rpc.get();
     context.tracer = engine.tracer.get();
-    context.profiler = engine.profiler.get();
     context.continuous = engine.continuous.get();
     context.shard_index = k;
     engine.engine = std::make_unique<PlatformEngine>(
@@ -312,14 +314,6 @@ void FleetSimulation::FinalizePlatform(PlatformSlot& slot) {
                                          profiling::kInvalidNameId,
                                          SimTime::Zero(), /*sampled=*/false,
                                          0);
-  }
-  // --- Profiler merge ---------------------------------------------------
-  // Sample order differs from a fused run, but every consumer aggregates
-  // by exact-integer counter sums, so reports are order-independent.
-  slot.merged_profiler = std::make_unique<profiling::CpuProfiler>(
-      config_.profiler_period, config_.cpu_hz, Rng(kMergeSeed));
-  for (const PlatformSlot::Engine& engine : slot.engines) {
-    slot.merged_profiler->AbsorbSamples(*engine.profiler);
   }
   // --- Continuous-profile merge: combine windows at the barrier ---------
   // Workers accumulated deferred (partial) windows; summing them by
@@ -472,9 +466,7 @@ const profiling::Tracer& FleetSimulation::TracerOf(size_t index) const {
 const profiling::CpuProfiler& FleetSimulation::ProfilerOf(
     size_t index) const {
   assert(index < slots_.size());
-  const PlatformSlot& slot = *slots_[index];
-  return slot.merged_profiler ? *slot.merged_profiler
-                              : *slot.engines[0].profiler;
+  return *slots_[index]->profiler;
 }
 
 const profiling::ContinuousProfiler* FleetSimulation::ContinuousOf(
@@ -574,18 +566,15 @@ FleetMemoryStats FleetSimulation::MemoryStats() const {
     for (const PlatformSlot::Kernel& kernel : slot->kernels) {
       stats.kernel_bytes += kernel.simulator->memory_bytes();
     }
+    stats.profiler_bytes += slot->profiler->memory_bytes();
     for (const PlatformSlot::Engine& engine : slot->engines) {
       stats.tracer_bytes += engine.tracer->memory_bytes();
-      stats.profiler_bytes += engine.profiler->memory_bytes();
       if (engine.continuous) {
         stats.profiler_bytes += engine.continuous->memory_bytes();
       }
     }
     if (slot->merged_tracer) {
       stats.tracer_bytes += slot->merged_tracer->memory_bytes();
-    }
-    if (slot->merged_profiler) {
-      stats.profiler_bytes += slot->merged_profiler->memory_bytes();
     }
     if (slot->merged_continuous) {
       stats.profiler_bytes += slot->merged_continuous->memory_bytes();

@@ -155,7 +155,7 @@ struct ShardStats {
 struct FleetMemoryStats {
   uint64_t kernel_bytes = 0;    // event heaps + slot tables
   uint64_t tracer_bytes = 0;    // open slots + retained traces
-  uint64_t profiler_bytes = 0;  // samples + symbol tables
+  uint64_t profiler_bytes = 0;  // folded sample tables + windows
   uint64_t total_bytes = 0;     // kernel + tracer + profiler
   uint64_t simulated_workers = 0;  // worker hosts modeled fleet-wide
   double bytes_per_worker = 0;     // total_bytes / simulated_workers
@@ -251,7 +251,7 @@ class FleetSimulation {
   /** The platform's tracer (streaming breakdown, drop counters). */
   const profiling::Tracer& TracerOf(size_t index) const;
 
-  /** Raw profiler of platform `index`. */
+  /** The platform's CPU profiler (samples folded per leaf symbol). */
   const profiling::CpuProfiler& ProfilerOf(size_t index) const;
 
   /**
@@ -329,7 +329,6 @@ class FleetSimulation {
     /** One engine and the measurement state it writes. */
     struct Engine {
       std::unique_ptr<profiling::Tracer> tracer;
-      std::unique_ptr<profiling::CpuProfiler> profiler;
       std::unique_ptr<profiling::ContinuousProfiler> continuous;
       std::unique_ptr<PlatformEngine> engine;
     };
@@ -345,12 +344,13 @@ class FleetSimulation {
     // Where the engines' IO goes: the DFS directly when fused, the shard
     // fabric when sharded.
     std::unique_ptr<IoPort> io;
+    // The platform's one CPU profiler, which every engine records into.
+    std::unique_ptr<profiling::CpuProfiler> profiler;
     std::vector<Engine> engines;
 
     // --- Sharded platforms only (shards_per_platform > 0) ----------------
     std::unique_ptr<sim::ShardGroup> group;
     std::unique_ptr<profiling::Tracer> merged_tracer;
-    std::unique_ptr<profiling::CpuProfiler> merged_profiler;
     std::unique_ptr<profiling::ContinuousProfiler> merged_continuous;
 
     Kernel& storage() { return kernels.back(); }
@@ -368,7 +368,7 @@ class FleetSimulation {
   std::unique_ptr<net::FaultModel> InstallFaults(net::RpcSystem& rpc,
                                                  Rng rng) const;
 
-  /** Post-run merge of a sharded platform's tracers and profilers. */
+  /** Post-run merge of a sharded platform's tracers and windows. */
   void FinalizePlatform(PlatformSlot& slot);
 
   /** Schedules one platform's configured workload (any thread). */

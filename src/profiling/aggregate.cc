@@ -248,36 +248,21 @@ double CycleBreakdownReport::FineFractionOfTotal(FnCategory category) const {
              : cycles_by_category[static_cast<size_t>(category)] / total;
 }
 
-namespace {
-
-/** Classifies each interned symbol once, then maps samples through it. */
-std::vector<FnCategory> ClassifySymbols(const CpuProfiler& profiler,
-                                        const FunctionRegistry& registry) {
-  std::vector<FnCategory> by_symbol;
-  // Symbol ids are dense; resolve lazily as they appear in samples.
-  for (const CpuSample& sample : profiler.samples()) {
-    if (sample.symbol_id >= by_symbol.size()) {
-      size_t old_size = by_symbol.size();
-      by_symbol.resize(sample.symbol_id + 1);
-      for (size_t id = old_size; id < by_symbol.size(); ++id) {
-        by_symbol[id] = registry.Classify(
-            profiler.SymbolName(static_cast<uint32_t>(id)));
-      }
-    }
-  }
-  return by_symbol;
-}
-
-}  // namespace
-
 CycleBreakdownReport ComputeCycleBreakdown(const CpuProfiler& profiler,
                                            const FunctionRegistry& registry) {
+  // Integer sums, converted to double once. Below 2^53 cycles per
+  // category that equals a running double sum over samples bit for bit
+  // (every partial sum is an exact integer); above it, the result still
+  // does not depend on fold order.
+  std::array<uint64_t, kNumFnCategories> cycles{};
+  profiler.samples().ForEach(
+      [&](std::string_view symbol, const SymbolSamples& row) {
+        FnCategory category = registry.Classify(std::string(symbol));
+        cycles[static_cast<size_t>(category)] += row.counters.cycles();
+      });
   CycleBreakdownReport report;
-  std::vector<FnCategory> by_symbol = ClassifySymbols(profiler, registry);
-  for (const CpuSample& sample : profiler.samples()) {
-    FnCategory category = by_symbol[sample.symbol_id];
-    report.cycles_by_category[static_cast<size_t>(category)] +=
-        static_cast<double>(sample.counters.cycles);
+  for (size_t i = 0; i < kNumFnCategories; ++i) {
+    report.cycles_by_category[i] = static_cast<double>(cycles[i]);
   }
   return report;
 }
@@ -285,13 +270,13 @@ CycleBreakdownReport ComputeCycleBreakdown(const CpuProfiler& profiler,
 MicroarchReport ComputeMicroarchReport(const CpuProfiler& profiler,
                                        const FunctionRegistry& registry) {
   MicroarchReport report;
-  std::vector<FnCategory> by_symbol = ClassifySymbols(profiler, registry);
-  for (const CpuSample& sample : profiler.samples()) {
-    FnCategory category = by_symbol[sample.symbol_id];
-    report.overall.Add(sample.counters);
-    report.by_broad[static_cast<size_t>(BroadOf(category))].Add(
-        sample.counters);
-  }
+  profiler.samples().ForEach(
+      [&](std::string_view symbol, const SymbolSamples& row) {
+        FnCategory category = registry.Classify(std::string(symbol));
+        report.overall.Merge(row.counters);
+        report.by_broad[static_cast<size_t>(BroadOf(category))].Merge(
+            row.counters);
+      });
   return report;
 }
 

@@ -24,6 +24,15 @@ std::string_view NameInterner::Name(NameId id) const {
   return names_[id];
 }
 
+size_t NameInterner::memory_bytes() const {
+  // Per name: its string and heap buffer, plus one hash node (a view and
+  // an id) and one bucket pointer.
+  size_t bytes = names_.size() * (sizeof(std::string) + sizeof(void*) +
+                                  sizeof(std::string_view) + sizeof(NameId));
+  for (const std::string& name : names_) bytes += name.capacity();
+  return bytes;
+}
+
 void FunctionRegistry::AddExact(std::string symbol, FnCategory category) {
   exact_[std::move(symbol)] = category;
 }

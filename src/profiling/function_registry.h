@@ -52,6 +52,9 @@ class NameInterner {
   /** Number of distinct interned names (excluding the reserved id 0). */
   size_t size() const { return names_.size() - 1; }
 
+  /** Bytes held by the names and the id index (capacities, estimated). */
+  size_t memory_bytes() const;
+
  private:
   std::deque<std::string> names_;  // index == NameId; [0] is ""
   std::unordered_map<std::string_view, NameId> ids_;

@@ -1,7 +1,7 @@
 #include "profiling/report.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/strings.h"
@@ -100,21 +100,23 @@ TextTable RenderResilienceReport(const ResilienceReport& report) {
 
 TextTable RenderTopSymbols(const CpuProfiler& profiler,
                            const FunctionRegistry& registry, size_t top_n) {
-  std::unordered_map<uint32_t, uint64_t> cycles_by_symbol;
+  std::vector<std::pair<std::string_view, uint64_t>> ranked;
   uint64_t total_cycles = 0;
-  for (const CpuSample& sample : profiler.samples()) {
-    cycles_by_symbol[sample.symbol_id] += sample.counters.cycles;
-    total_cycles += sample.counters.cycles;
-  }
-  std::vector<std::pair<uint32_t, uint64_t>> ranked(cycles_by_symbol.begin(),
-                                                    cycles_by_symbol.end());
-  std::sort(ranked.begin(), ranked.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
+  profiler.samples().ForEach(
+      [&](std::string_view symbol, const SymbolSamples& row) {
+        ranked.emplace_back(symbol, row.counters.cycles());
+        total_cycles += row.counters.cycles();
+      });
+  // Equal cycles rank by name, so the table does not depend on the order
+  // in which symbols were interned.
+  std::sort(ranked.begin(), ranked.end(), [](const auto& a, const auto& b) {
+    return a.second != b.second ? a.second > b.second : a.first < b.first;
+  });
   if (ranked.size() > top_n) ranked.resize(top_n);
 
   TextTable table({"Leaf symbol", "Category", "Cycles%"});
-  for (const auto& [symbol_id, cycles] : ranked) {
-    const std::string& symbol = profiler.SymbolName(symbol_id);
+  for (const auto& [name, cycles] : ranked) {
+    std::string symbol(name);
     FnCategory category = registry.Classify(symbol);
     double share = total_cycles > 0 ? static_cast<double>(cycles) /
                                           static_cast<double>(total_cycles)

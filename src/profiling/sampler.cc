@@ -1,39 +1,45 @@
 #include "profiling/sampler.h"
 
-#include <cassert>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 namespace hyperprof::profiling {
 
+NameId SampleTable::Intern(std::string_view symbol) {
+  NameId id = names_.Intern(symbol);
+  if (id >= rows_.size()) rows_.resize(id + 1);
+  return id;
+}
+
+size_t SampleTable::memory_bytes() const {
+  return rows_.capacity() * sizeof(SymbolSamples) + names_.memory_bytes();
+}
+
 CpuProfiler::CpuProfiler(SimTime sample_period, double cpu_hz, Rng rng)
     : sample_period_(sample_period), cpu_hz_(cpu_hz), rng_(std::move(rng)) {
-  assert(sample_period > SimTime::Zero());
-  assert(cpu_hz > 0);
+  // Checked in every build: a zero period makes each activity's sample
+  // count infinite, and an infinite frequency (or a period too long for
+  // the frequency) each sample's cycle count; converting either to an
+  // integer is undefined.
+  if (!(sample_period > SimTime::Zero()) || !(cpu_hz > 0) ||
+      !(CyclesPerSample() < 0x1p64)) {
+    std::fprintf(stderr,
+                 "CpuProfiler: sample period is %lld ns and frequency %g "
+                 "Hz; both must be positive and finite, and a sample's "
+                 "cycles must fit in 64 bits\n",
+                 static_cast<long long>(sample_period.nanos()), cpu_hz);
+    std::abort();
+  }
+  cycles_per_sample_ = static_cast<uint64_t>(CyclesPerSample() + 0.5);
 }
 
-double CpuProfiler::CyclesPerSample() const {
-  return sample_period_.ToSeconds() * cpu_hz_;
-}
-
-uint32_t CpuProfiler::InternSymbol(const std::string& symbol) {
-  auto [it, inserted] =
-      symbol_ids_.try_emplace(symbol,
-                              static_cast<uint32_t>(symbol_names_.size()));
-  if (inserted) symbol_names_.push_back(symbol);
-  return it->second;
-}
-
-const std::string& CpuProfiler::SymbolName(uint32_t symbol_id) const {
-  assert(symbol_id < symbol_names_.size());
-  return symbol_names_[symbol_id];
-}
-
-void CpuProfiler::RecordActivity(const std::string& symbol, SimTime duration,
+void CpuProfiler::RecordActivity(NameId symbol, SimTime duration,
                                  const MicroarchProfile& profile) {
   RecordActivity(symbol, duration, profile, rng_);
 }
 
-void CpuProfiler::RecordActivity(const std::string& symbol, SimTime duration,
+void CpuProfiler::RecordActivity(NameId symbol, SimTime duration,
                                  const MicroarchProfile& profile, Rng& rng) {
   if (duration <= SimTime::Zero()) return;
   ++activities_;
@@ -43,40 +49,10 @@ void CpuProfiler::RecordActivity(const std::string& symbol, SimTime duration,
   double expected = duration.ToSeconds() / sample_period_.ToSeconds();
   uint64_t count = static_cast<uint64_t>(expected);
   if (rng.NextBool(expected - std::floor(expected))) ++count;
-  if (count == 0) return;
-  uint32_t symbol_id = InternSymbol(symbol);
-  uint64_t cycles_per_sample =
-      static_cast<uint64_t>(CyclesPerSample() + 0.5);
   for (uint64_t i = 0; i < count; ++i) {
-    CpuSample sample;
-    sample.symbol_id = symbol_id;
-    sample.counters = SynthesizeCounters(profile, cycles_per_sample, rng);
-    samples_.push_back(sample);
+    samples_.Add(symbol,
+                 SynthesizeCounters(profile, cycles_per_sample_, rng));
   }
-}
-
-void CpuProfiler::AbsorbSamples(const CpuProfiler& other) {
-  samples_.reserve(samples_.size() + other.samples_.size());
-  for (const CpuSample& sample : other.samples_) {
-    CpuSample copy = sample;
-    copy.symbol_id = InternSymbol(other.symbol_names_[sample.symbol_id]);
-    samples_.push_back(copy);
-  }
-  total_cpu_time_ += other.total_cpu_time_;
-  activities_ += other.activities_;
-}
-
-size_t CpuProfiler::memory_bytes() const {
-  size_t bytes = samples_.capacity() * sizeof(CpuSample) +
-                 symbol_names_.capacity() * sizeof(std::string);
-  for (const std::string& name : symbol_names_) bytes += name.capacity();
-  // Hash map bookkeeping: roughly one bucket pointer plus one node per
-  // entry; symbol keys are shared views of symbol_names_ in spirit but
-  // stored as copies, so count them too.
-  bytes += symbol_ids_.size() * (sizeof(void*) + sizeof(std::string) +
-                                 sizeof(uint32_t));
-  for (const auto& [key, id] : symbol_ids_) bytes += key.capacity();
-  return bytes;
 }
 
 }  // namespace hyperprof::profiling

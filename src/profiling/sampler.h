@@ -2,24 +2,58 @@
 #define HYPERPROF_PROFILING_SAMPLER_H_
 
 #include <cstdint>
-#include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/sim_time.h"
+#include "profiling/function_registry.h"
 #include "profiling/microarch.h"
 
 namespace hyperprof::profiling {
 
+/** One leaf symbol's folded GWP samples. */
+struct SymbolSamples {
+  uint64_t samples = 0;
+  CounterRollup counters;  // summed PMU deltas of those samples
+};
+
 /**
- * One GWP-style CPU sample: interned leaf symbol + PMU counter deltas.
- * Symbols are interned because a fleet-day of samples repeats a few
- * hundred leaf functions millions of times.
+ * GWP samples folded per leaf symbol as they are recorded. Every GWP
+ * report (cycle breakdowns, IPC/MPKI rollups, flat profiles) is an
+ * integer sum per symbol or per category, so this state is sized by the
+ * symbol set, never by run length.
  */
-struct CpuSample {
-  uint32_t symbol_id = 0;
-  CounterDelta counters;
+class SampleTable {
+ public:
+  /** Interns `symbol`, giving it an empty row (idempotent). */
+  NameId Intern(std::string_view symbol);
+
+  /** Folds one sample of interned `symbol` into its row. */
+  void Add(NameId symbol, const CounterDelta& counters) {
+    ++rows_[symbol].samples;
+    rows_[symbol].counters.Add(counters);
+    ++size_;
+  }
+
+  /** Total samples folded, over every symbol. */
+  uint64_t size() const { return size_; }
+
+  /** Calls `visit(name, row)` for each symbol that holds samples. */
+  template <typename Visit>
+  void ForEach(Visit visit) const {
+    for (NameId id = 1; id < rows_.size(); ++id) {
+      if (rows_[id].samples > 0) visit(names_.Name(id), rows_[id]);
+    }
+  }
+
+  /** Reserved bytes of rows and names. */
+  size_t memory_bytes() const;
+
+ private:
+  NameInterner names_;
+  std::vector<SymbolSamples> rows_;  // index == NameId; [0] unused
+  uint64_t size_ = 0;
 };
 
 /**
@@ -31,7 +65,8 @@ struct CpuSample {
  * with random phase (so short activities are sampled proportionally in
  * expectation), synthesizing PMU counters from the activity's
  * microarchitectural profile. Cycle attribution is sample-count x period,
- * exactly how GWP-derived cycle breakdowns are computed.
+ * exactly how GWP-derived cycle breakdowns are computed. Each sample
+ * folds into its symbol's row of samples() when it is drawn.
  */
 class CpuProfiler {
  public:
@@ -39,14 +74,21 @@ class CpuProfiler {
    * @param sample_period CPU time between samples on one core.
    * @param cpu_hz Core frequency used to convert time to cycles.
    * @param rng Sampling randomness (owned).
+   * Aborts in every build unless the period is positive and the
+   * frequency positive and finite.
    */
   CpuProfiler(SimTime sample_period, double cpu_hz, Rng rng);
 
+  /** Interns a leaf symbol; callers intern once and record by id. */
+  NameId InternSymbol(std::string_view symbol) {
+    return samples_.Intern(symbol);
+  }
+
   /**
-   * Reports that `symbol` ran on-CPU for `duration` with the given
-   * microarchitectural behaviour. Emits 0..k samples.
+   * Reports that interned `symbol` ran on-CPU for `duration` with the
+   * given microarchitectural behaviour. Folds 0..k samples.
    */
-  void RecordActivity(const std::string& symbol, SimTime duration,
+  void RecordActivity(NameId symbol, SimTime duration,
                       const MicroarchProfile& profile);
 
   /**
@@ -55,34 +97,18 @@ class CpuProfiler {
    * stream so sample counts and counter noise are properties of the
    * query, not of which other queries share the kernel.
    */
-  void RecordActivity(const std::string& symbol, SimTime duration,
+  void RecordActivity(NameId symbol, SimTime duration,
                       const MicroarchProfile& profile, Rng& rng);
 
-  /**
-   * Copies every sample of `other` into this profiler, re-interning
-   * symbols into this profiler's table, and folds its activity totals.
-   * Used to merge per-shard profilers into one platform view; all
-   * downstream reports aggregate counters by symbol, so append order is
-   * not observable in results.
-   */
-  void AbsorbSamples(const CpuProfiler& other);
+  /** Bytes of the folded table (RSS-independent memory accounting). */
+  size_t memory_bytes() const { return samples_.memory_bytes(); }
 
-  /**
-   * Bytes of sample/symbol storage currently reserved (capacities, not
-   * sizes). RSS-independent input to the fleet's memory accounting.
-   */
-  size_t memory_bytes() const;
-
-  const std::vector<CpuSample>& samples() const { return samples_; }
-
-  /** Resolves an interned symbol id back to its name. */
-  const std::string& SymbolName(uint32_t symbol_id) const;
-
-  /** Interns a symbol (exposed for tests). */
-  uint32_t InternSymbol(const std::string& symbol);
+  const SampleTable& samples() const { return samples_; }
 
   /** Cycles represented by one sample (period x frequency). */
-  double CyclesPerSample() const;
+  double CyclesPerSample() const {
+    return sample_period_.ToSeconds() * cpu_hz_;
+  }
 
   SimTime total_cpu_time() const { return total_cpu_time_; }
   uint64_t activities_recorded() const { return activities_; }
@@ -90,10 +116,9 @@ class CpuProfiler {
  private:
   SimTime sample_period_;
   double cpu_hz_;
+  uint64_t cycles_per_sample_ = 0;
   Rng rng_;
-  std::vector<CpuSample> samples_;
-  std::unordered_map<std::string, uint32_t> symbol_ids_;
-  std::vector<std::string> symbol_names_;
+  SampleTable samples_;
   SimTime total_cpu_time_;
   uint64_t activities_ = 0;
 };

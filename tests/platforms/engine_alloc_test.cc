@@ -21,9 +21,11 @@
 //     covers; at 1 << 14 blocks the indexes still grow during the counted
 //     batch (4 reallocations for Spanner, 24 for BigTable, 0 for BigQuery
 //     at this seed), bounded by the block space, not by the query count.
-// Output storage is left out too, as in serve_alloc_test: the tracer never
-// samples (a sampled query stores its spans) and the profiler's period is
-// longer than the run (each sample is stored); both grow by doubling.
+// Trace storage is left out too, as in serve_alloc_test: the tracer never
+// samples (a sampled query stores its spans, which grow by doubling). The
+// CPU profiler samples at FleetConfig's default 1 ms period; each sample
+// folds into its symbol's row, which the engine interned at construction,
+// so sampling stores nothing.
 //
 // The sharded cases run a 3-shard FleetSimulation, whose engines reach the
 // DFS through the shard fabric, and count allocations per DFS IO over the
@@ -56,6 +58,7 @@ namespace {
 constexpr uint64_t kWarmupQueries = 8000;
 constexpr uint64_t kCountedQueries = 1000;
 constexpr double kArrivalRateQps = 2000;  // FleetConfig's default
+constexpr SimTime kProfilerPeriod = SimTime::Micros(1000);  // its default
 constexpr double kWarmupRateQps = 2 * kArrivalRateQps;
 constexpr uint64_t kShardedQueries = 4000;
 constexpr double kMaxShardedAllocsPerIo = 0.02;
@@ -80,7 +83,7 @@ class FusedPlatform {
         dfs_(&simulator_, &rpc_, storage::DfsParams(), Rng(3)),
         io_(&dfs_),
         tracer_(1u << 30, Rng(4)),
-        profiler_(SimTime::Seconds(1000), 3e9, Rng(5)),
+        profiler_(kProfilerPeriod, 3e9, Rng(5)),
         registry_(profiling::BuildFleetRegistry()),
         blocks_(spec_.block_space, spec_.block_zipf_s) {
     dfs_.PrewarmZipf(
@@ -153,7 +156,6 @@ double ShardedAllocationsPerIo(PlatformSpec spec) {
   config.shards_per_platform = 3;
   config.parallelism = 1;
   config.trace_sample_one_in = 1u << 30;
-  config.profiler_period = SimTime::Seconds(1000);
   config.continuous_window = SimTime::Zero();
   FleetSimulation fleet(config);
   fleet.AddPlatform(SmallBlockSpace(std::move(spec)));

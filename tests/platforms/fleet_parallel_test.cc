@@ -4,6 +4,7 @@
 // substrate and derives its RNG streams from hash(seed, platform_index)
 // alone (see DESIGN.md).
 
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -13,6 +14,7 @@
 #include "platforms/fleet.h"
 #include "platforms/platforms.h"
 #include "profiling/categories.h"
+#include "profiling/report.h"
 
 namespace hyperprof::platforms {
 namespace {
@@ -130,6 +132,16 @@ void ExpectBitIdentical(FleetSimulation& serial, FleetSimulation& parallel) {
                 b.microarch.by_broad[broad].Ipc())
           << a.name << " broad " << broad;
     }
+
+    // The GWP flat profile, every row of it, as rendered.
+    constexpr size_t kAllRows = std::numeric_limits<size_t>::max();
+    EXPECT_EQ(profiling::RenderTopSymbols(serial.ProfilerOf(p),
+                                          serial.registry(), kAllRows)
+                  .ToString(),
+              profiling::RenderTopSymbols(parallel.ProfilerOf(p),
+                                          parallel.registry(), kAllRows)
+                  .ToString())
+        << a.name;
 
     // Raw traces too: same sampled queries, same span boundaries.
     const auto& ta = serial.TracesOf(p);

@@ -4,6 +4,9 @@
 
 #include "platforms/fleet.h"
 
+#include <memory>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "platforms/platforms.h"
@@ -290,6 +293,29 @@ TEST(FaultedFleetTest, SerialAndParallelFaultedRunsBitIdentical) {
   for (size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i], parallel[i]) << "signature index " << i;
   }
+}
+
+TEST(FleetMemoryTest, ProfilerBytesDoNotDependOnRunLength) {
+  // Samples fold into per-symbol rows as they are recorded, so the CPU
+  // profiler holds the same bytes after 8x the queries.
+  auto run = [](uint64_t queries) {
+    FleetConfig config;
+    config.queries_per_platform = queries;
+    config.parallelism = 1;
+    auto fleet = std::make_unique<FleetSimulation>(config);
+    PlatformSpec spec = SpannerSpec();
+    spec.block_space = 1 << 10;
+    fleet->AddPlatform(std::move(spec));
+    fleet->RunAll();
+    return fleet;
+  };
+  auto short_run = run(250);
+  auto long_run = run(2000);
+  const profiling::CpuProfiler& short_profiler = short_run->ProfilerOf(0);
+  const profiling::CpuProfiler& long_profiler = long_run->ProfilerOf(0);
+  EXPECT_GT(long_profiler.samples().size(),
+            4 * short_profiler.samples().size());
+  EXPECT_EQ(long_profiler.memory_bytes(), short_profiler.memory_bytes());
 }
 
 }  // namespace

@@ -121,7 +121,8 @@ class CycleBreakdownTest : public ::testing::Test {
   void Record(const std::string& symbol, int millis) {
     MicroarchProfile profile;
     profile.ipc = 1.0;
-    profiler_.RecordActivity(symbol, SimTime::Millis(millis), profile);
+    profiler_.RecordActivity(profiler_.InternSymbol(symbol),
+                             SimTime::Millis(millis), profile);
   }
 
   FunctionRegistry registry_;
@@ -170,10 +171,10 @@ TEST_F(CycleBreakdownTest, MicroarchReportSeparatesBroadCategories) {
   fast.ipc = 1.4;
   MicroarchProfile slow;
   slow.ipc = 0.6;
-  profiler_.RecordActivity("exec::HashJoinProbe::Probe", SimTime::Millis(40),
-                           fast);
-  profiler_.RecordActivity("snappylike::RawCompress", SimTime::Millis(40),
-                           slow);
+  profiler_.RecordActivity(profiler_.InternSymbol("exec::HashJoinProbe::Probe"),
+                           SimTime::Millis(40), fast);
+  profiler_.RecordActivity(profiler_.InternSymbol("snappylike::RawCompress"),
+                           SimTime::Millis(40), slow);
   MicroarchReport report = ComputeMicroarchReport(profiler_, registry_);
   EXPECT_NEAR(report.by_broad[0].Ipc(), 1.4, 0.05);  // core compute
   EXPECT_NEAR(report.by_broad[1].Ipc(), 0.6, 0.05);  // DC tax

@@ -57,9 +57,10 @@ TEST(ReportTest, TopSymbolsRankedByCycles) {
   CpuProfiler profiler(SimTime::Micros(10), 3e9, Rng(1));
   MicroarchProfile profile;
   profile.ipc = 1.0;
-  profiler.RecordActivity("snappylike::RawCompress", SimTime::Millis(30),
-                          profile);
-  profiler.RecordActivity("do_syscall_64", SimTime::Millis(10), profile);
+  profiler.RecordActivity(profiler.InternSymbol("snappylike::RawCompress"),
+                          SimTime::Millis(30), profile);
+  profiler.RecordActivity(profiler.InternSymbol("do_syscall_64"),
+                          SimTime::Millis(10), profile);
   FunctionRegistry registry = BuildFleetRegistry();
   std::string out = RenderTopSymbols(profiler, registry, 10).ToString();
   size_t compress_pos = out.find("snappylike::RawCompress");
@@ -75,8 +76,8 @@ TEST(ReportTest, TopSymbolsHonorsLimit) {
   MicroarchProfile profile;
   profile.ipc = 1.0;
   for (int i = 0; i < 10; ++i) {
-    profiler.RecordActivity("fn" + std::to_string(i), SimTime::Millis(5),
-                            profile);
+    profiler.RecordActivity(profiler.InternSymbol("fn" + std::to_string(i)),
+                            SimTime::Millis(5), profile);
   }
   FunctionRegistry registry;
   TextTable table = RenderTopSymbols(profiler, registry, 3);

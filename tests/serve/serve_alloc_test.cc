@@ -11,15 +11,18 @@
 //
 // Two specs run behind the daemon. The crafted one is a single compute
 // phase whose mean is far below the activity decomposition floor (no
-// profiler activity draws) with no worker pool (the finite-pool path
-// rides a shared_ptr through sim::Resource). SpannerSpec() runs the
-// paper's full query path — compute activities, DFS reads and quorum
-// writes, Paxos rounds, RPC fan-outs — which is allocation-free once warm
-// (DESIGN.md §18). Both leave output storage out: the tracer's sampling
-// period is larger than the test's traffic (no span storage), and for
-// Spanner the profiler's period is longer than the run (no stored
-// samples). The daemon side needs no such staging — its zero-alloc
-// guarantee is unconditional and separately accounted by serve_allocs().
+// profiler activity draws) with no worker pool: a finite pool's grant and
+// release closures outgrow the simulator callback's 48-byte inline
+// buffer, so each grant and each release allocates (DESIGN.md §18).
+// SpannerSpec() runs the paper's full query path — compute activities,
+// DFS reads and quorum writes, Paxos rounds, RPC fan-outs — which is
+// allocation-free once warm (DESIGN.md §18). Both leave trace storage
+// out: the tracer's sampling period is larger than the test's traffic
+// (no span storage). The CPU profiler samples at its default 1 ms period;
+// each sample folds into its symbol's row, interned when the engine was
+// built, so sampling stores nothing. The daemon side needs no such
+// staging — its zero-alloc guarantee is unconditional and separately
+// accounted by serve_allocs().
 
 #include <errno.h>
 #include <fcntl.h>
@@ -114,10 +117,8 @@ class SteadyStateHarness {
     // RunOnce(1) wait.
     options.virtual_seconds_per_wall_second = 1000.0;
     options.front_door.max_in_flight = 16;
-    // Never trace-sample: sampled queries allocate span storage. Never
-    // profile-sample either: each sample is stored.
+    // Never trace-sample: sampled queries allocate span storage.
     options.front_door.fleet.trace_sample_one_in = 1 << 30;
-    options.front_door.fleet.profiler_period = SimTime::Seconds(1000);
     return options;
   }
 
