@@ -17,8 +17,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 declare -A PINNED_DIGESTS=(
-  [fleet_fused]=6533a323b26de9a2
-  [fleet_sharded]=a335faccfb3981b4
+  [fleet_fused]=b53357f9efed620b
+  [fleet_sharded]=9dd24f0aea980a6d
 )
 
 for workload in fleet_fused fleet_sharded serve_spanner; do

@@ -8,8 +8,6 @@
 #include <numbers>
 #include <utility>
 
-#include "common/thread_pool.h"
-
 namespace hyperprof {
 
 namespace {
@@ -176,38 +174,68 @@ double AliasSampler::Probability(size_t i) const {
   return mass / static_cast<double>(prob_.size());
 }
 
-size_t AliasSampler::memory_bytes() const {
-  return prob_.capacity() * sizeof(double) +
-         alias_.capacity() * sizeof(uint32_t);
-}
-
 namespace {
 
-std::vector<double> ZipfWeights(size_t n, double s, size_t threads) {
-  std::vector<double> w(n == 0 ? 1 : n);
-  const size_t chunk = ZipfSampler::kFillChunk;
-  const size_t chunks = (w.size() + chunk - 1) / chunk;
-  auto fill = [&w, s, chunk](size_t c) {
-    const size_t end = std::min(w.size(), (c + 1) * chunk);
-    for (size_t i = c * chunk; i < end; ++i) {
-      w[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
-    }
-  };
-  threads = std::min(threads, chunks);
-  if (threads <= 1) {
-    for (size_t c = 0; c < chunks; ++c) fill(c);
-  } else {
-    // ParallelFor's caller runs jobs too, so threads - 1 workers spend
-    // exactly the budget.
-    ThreadPool pool(threads - 1);
-    pool.ParallelFor(chunks, fill);
-  }
-  return w;
+[[noreturn]] void InvalidExponent(double s) {
+  std::fprintf(stderr,
+               "ZipfSampler: exponent s is %g; it must be positive and "
+               "finite\n",
+               s);
+  std::abort();
+}
+
+// log(1 + x) / x and (exp(x) - 1) / x, by their Taylor series near 0,
+// where the quotients lose precision (s near 1).
+double Log1pOverX(double x) {
+  if (std::fabs(x) > 1e-8) return std::log1p(x) / x;
+  return 1 - x * (0.5 - x * (1.0 / 3.0 - 0.25 * x));
+}
+
+double Expm1OverX(double x) {
+  if (std::fabs(x) > 1e-8) return std::expm1(x) / x;
+  return 1 + x * 0.5 * (1 + x * (1.0 / 3.0) * (1 + 0.25 * x));
+}
+
+// The hat h(x) = x^-s over the ranks, its integral
+// H(x) = (x^(1-s) - 1) / (1 - s) (log x at s = 1), and H's inverse.
+double Hat(double x, double s) { return std::exp(-s * std::log(x)); }
+
+double HIntegral(double x, double s) {
+  const double log_x = std::log(x);
+  return Expm1OverX((1 - s) * log_x) * log_x;
+}
+
+double HIntegralInverse(double x, double s) {
+  // Rounding can push t just below -1, where log1p has no value.
+  const double t = std::max(-1.0, x * (1 - s));
+  return std::exp(Log1pOverX(t) * x);
 }
 
 }  // namespace
 
-ZipfSampler::ZipfSampler(size_t n, double s, size_t threads)
-    : sampler_(ZipfWeights(n, s, threads)) {}
+ZipfSampler::ZipfSampler(size_t n, double s) : n_(n == 0 ? 1 : n), s_(s) {
+  if (!(s > 0 && std::isfinite(s))) InvalidExponent(s);
+  h_integral_x1_ = HIntegral(1.5, s) - 1;
+  h_integral_n_ = HIntegral(static_cast<double>(n_) + 0.5, s);
+  accept_radius_ = 2 - HIntegralInverse(HIntegral(2.5, s) - Hat(2, s), s);
+}
+
+size_t ZipfSampler::Sample(Rng& rng) const {
+  // Ranks k are 1-based here. Under the hat, rank 1 owns
+  // (h_integral_x1_, H(1.5)] and rank k > 1 owns (H(k - 0.5), H(k + 0.5)],
+  // so a uniform u over all of them picks k with probability proportional
+  // to its hat area; accepting with h(k) over that area leaves k^-s.
+  const double n = static_cast<double>(n_);
+  while (true) {
+    const double u = h_integral_n_ +
+                     rng.NextDouble() * (h_integral_x1_ - h_integral_n_);
+    const double x = HIntegralInverse(u, s_);
+    // Clamp before converting: rounding can land a hair outside [1, n].
+    const double k = std::clamp(std::floor(x + 0.5), 1.0, n);
+    if (k - x <= accept_radius_ || u >= HIntegral(k + 0.5, s_) - Hat(k, s_)) {
+      return static_cast<size_t>(k) - 1;
+    }
+  }
+}
 
 }  // namespace hyperprof

@@ -97,44 +97,40 @@ class AliasSampler {
    */
   double Probability(size_t i) const;
 
-  /** Bytes reserved by the table. */
-  size_t memory_bytes() const;
-
  private:
   std::vector<double> prob_;
   std::vector<uint32_t> alias_;
 };
 
 /**
- * Zipfian sampler over ranks [0, n) with skew parameter s.
+ * Zipfian sampler over ranks [0, n): rank i is drawn with probability
+ * proportional to 1 / (i + 1)^s.
  *
  * Key popularity in production KV stores is Zipf-like; this drives the
- * cache-hit behaviour of the storage substrate. Implemented via an alias
- * table over the rank probabilities, so draws are O(1).
- *
- * `threads` is a host-thread budget for the build: the rank weights
- * 1 / (i + 1)^s are computed in kFillChunk-sized chunks on up to that
- * many threads (the calling thread included). Every weight is the same
- * double whichever thread computes it, and the AliasSampler pass over
- * them stays serial and in index order, so the table is bit-identical
- * at every thread count. A table of at most one chunk starts no thread.
+ * cache-hit behaviour of the storage substrate. Draws are exact, by
+ * Hörmann and Derflinger's rejection-inversion ("Rejection-inversion to
+ * generate variates from monotone discrete distributions", ACM TOMACS
+ * 6(3), 1996; the algorithm of Apache Commons RNG's
+ * RejectionInversionZipfSampler). The state is five scalars whatever n
+ * is, and a draw takes one uniform per attempt and a few log/exp calls,
+ * with at most 1.02 attempts per draw on average for s from 0.05 to 10.
  */
 class ZipfSampler {
  public:
-  /** Weights per fill job. */
-  static constexpr size_t kFillChunk = size_t{1} << 14;
+  /** n == 0 means one rank. Aborts unless s is positive and finite. */
+  ZipfSampler(size_t n, double s);
 
-  ZipfSampler(size_t n, double s, size_t threads = 1);
-
-  size_t Sample(Rng& rng) const { return sampler_.Sample(rng); }
-  size_t size() const { return sampler_.size(); }
-  size_t memory_bytes() const { return sampler_.memory_bytes(); }
-
-  /** Normalized probability of rank i, in O(n) (for inspection/tests). */
-  double Probability(size_t i) const { return sampler_.Probability(i); }
+  size_t Sample(Rng& rng) const;
+  size_t size() const { return n_; }
 
  private:
-  AliasSampler sampler_;
+  size_t n_;
+  double s_;
+  double h_integral_x1_;  // HIntegral(1.5) - 1
+  double h_integral_n_;   // HIntegral(n + 0.5)
+  // A point within this distance below its rank is accepted without
+  // evaluating the hat (Theorem 2 of the paper).
+  double accept_radius_;
 };
 
 }  // namespace hyperprof

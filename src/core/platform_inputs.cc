@@ -8,25 +8,16 @@ using profiling::FnCategory;
 
 std::vector<FnCategory> AcceleratedCategoriesFor(
     const std::string& platform) {
-  // Shared taxes (Section 6.2): compression, RPC, protobuf, STL, OS.
-  std::vector<FnCategory> categories = {
-      FnCategory::kCompression, FnCategory::kRpc, FnCategory::kProtobuf,
-      FnCategory::kStl, FnCategory::kOperatingSystems,
-  };
-  if (platform == "BigQuery") {
-    // Analytics core compute: filter, compute, aggregation, misc.
-    categories.push_back(FnCategory::kFilter);
-    categories.push_back(FnCategory::kCompute);
-    categories.push_back(FnCategory::kAggregate);
-    categories.push_back(FnCategory::kMiscCore);
-  } else {
-    // Database core compute: read, write, compaction, misc.
-    categories.push_back(FnCategory::kRead);
-    categories.push_back(FnCategory::kWrite);
-    categories.push_back(FnCategory::kCompaction);
-    categories.push_back(FnCategory::kMiscCore);
-  }
-  return categories;
+  // Shared taxes (Section 6.2): compression, RPC, protobuf, STL, OS. Then
+  // core compute: filter, compute, aggregation and misc for analytics;
+  // read, write, compaction and misc for the databases.
+  const bool analytics = platform == "BigQuery";
+  return {FnCategory::kCompression, FnCategory::kRpc, FnCategory::kProtobuf,
+          FnCategory::kStl, FnCategory::kOperatingSystems,
+          analytics ? FnCategory::kFilter : FnCategory::kRead,
+          analytics ? FnCategory::kCompute : FnCategory::kWrite,
+          analytics ? FnCategory::kAggregate : FnCategory::kCompaction,
+          FnCategory::kMiscCore};
 }
 
 namespace {
@@ -140,24 +131,13 @@ double GroupWeightedSpeedup(
 }
 
 std::vector<FnCategory> PriorStudyCategoriesFor(const std::string& platform) {
-  std::vector<FnCategory> categories = {
-      FnCategory::kCompression,
-      FnCategory::kRpc,
-      FnCategory::kProtobuf,
-      FnCategory::kMemAllocation,
-  };
-  if (platform == "BigQuery") {
-    categories.push_back(FnCategory::kFilter);
-    categories.push_back(FnCategory::kCompute);
-    categories.push_back(FnCategory::kAggregate);
-    categories.push_back(FnCategory::kMiscCore);
-  } else {
-    categories.push_back(FnCategory::kRead);
-    categories.push_back(FnCategory::kWrite);
-    categories.push_back(FnCategory::kCompaction);
-    categories.push_back(FnCategory::kMiscCore);
-  }
-  return categories;
+  const bool analytics = platform == "BigQuery";
+  return {FnCategory::kCompression, FnCategory::kRpc, FnCategory::kProtobuf,
+          FnCategory::kMemAllocation,
+          analytics ? FnCategory::kFilter : FnCategory::kRead,
+          analytics ? FnCategory::kCompute : FnCategory::kWrite,
+          analytics ? FnCategory::kAggregate : FnCategory::kCompaction,
+          FnCategory::kMiscCore};
 }
 
 }  // namespace hyperprof::model

@@ -45,11 +45,11 @@ PlatformEngine::PlatformEngine(EngineContext context, PlatformSpec spec,
     : context_(context),
       spec_(std::move(spec)),
       rng_(std::move(rng)),
-      sharded_(context.shard_count > 0) {
+      sharded_(context.shard_count > 0),
+      block_sampler_(spec_.block_space, spec_.block_zipf_s) {
   assert(!sharded_ || spec_.worker_cores == 0);
   assert(context_.simulator && context_.io && context_.rpc &&
-         context_.tracer && context_.profiler && context_.registry &&
-         context_.block_sampler);
+         context_.tracer && context_.profiler && context_.registry);
   // Windowed profiling rides the tracer's finish path: attaching here
   // means every sampled completion feeds its window without a second
   // per-query hook in the engine hot path.
@@ -368,7 +368,7 @@ void PlatformEngine::IssueWave(const RecordPool<IoWave>::Ref& wave) {
   wave->remaining -= count;
   wave->outstanding = count;
   for (int i = 0; i < count; ++i) {
-    uint64_t block_id = context_.block_sampler->Sample(DrawStream(query));
+    uint64_t block_id = block_sampler_.Sample(DrawStream(query));
     SimTime start = context_.simulator->Now();
     IoRequest request;
     request.shard = context_.shard_index;

@@ -77,10 +77,6 @@ struct EngineContext {
   // shards carry a deferred-evaluation instance that the post-run merge
   // combines at the barrier (see profiling/continuous.h).
   profiling::ContinuousProfiler* continuous = nullptr;
-  // Zipf popularity table over spec.block_space, which IO phases draw
-  // block ids from. Read-only, so every engine of a platform (fused, or
-  // all of its worker shards) shares the one table its owner built.
-  const ZipfSampler* block_sampler = nullptr;
 
   // --- Sharded mode (FleetConfig::shards_per_platform > 0) ---
   // When `shard_count` is nonzero the engine runs in per-query-stream
@@ -274,6 +270,9 @@ class PlatformEngine {
   PlatformSpec spec_;
   Rng rng_;
   const bool sharded_;
+  // Zipf popularity over spec_.block_space, which IO phases draw block
+  // ids from.
+  const ZipfSampler block_sampler_;
   std::unique_ptr<AliasSampler> type_sampler_;
   std::unique_ptr<AliasSampler> mix_sampler_;
   std::vector<size_t> mix_categories_;  // categories with nonzero weight

@@ -24,6 +24,12 @@ constexpr uint64_t kMergeSeed = 0x9e3779b97f4a7c15ULL;
 // on it); the shard count is not.
 constexpr SimTime kShardWindow = SimTime::Micros(50);
 
+// Every CPU profiler samples once per simulated ms on a 3 GHz core, and
+// every continuous profiler logs at most 64 anomalies (it counts the rest).
+constexpr SimTime kProfilerPeriod = SimTime::Micros(1000);
+constexpr double kCpuHz = 3.0e9;
+constexpr size_t kContinuousMaxAnomalies = 64;
+
 // Trace options the fleet config asks for: the fused tracer's and the
 // sharded merge's.
 profiling::TracerOptions TracerOptionsFrom(const FleetConfig& config) {
@@ -42,7 +48,7 @@ profiling::ContinuousOptions ContinuousOptionsFrom(const FleetConfig& config,
   options.window = config.continuous_window;
   options.history_size = config.continuous_history;
   options.budget = config.continuous_budget;
-  options.max_anomalies = config.continuous_max_anomalies;
+  options.max_anomalies = kContinuousMaxAnomalies;
   options.defer_evaluation = defer;
   return options;
 }
@@ -116,13 +122,9 @@ FleetSimulation::~FleetSimulation() = default;
 uint64_t FleetSimulation::PlatformSeed(uint64_t fleet_seed,
                                        size_t platform_index) {
   // SplitMix64 finalizer over the (seed, index) pair: well-distributed
-  // per-platform streams even for adjacent fleet seeds. The small additive
-  // constant selects the stream family under which the default calibration
-  // fleet reproduces the paper's headline query-group shares (the
-  // statistical recovery tests assert sharp thresholds on them).
-  uint64_t z = fleet_seed + 4 +
-               0x9e3779b97f4a7c15ULL *
-                   (static_cast<uint64_t>(platform_index) + 1);
+  // per-platform streams even for adjacent fleet seeds.
+  uint64_t z = fleet_seed + 0x9e3779b97f4a7c15ULL *
+                                (static_cast<uint64_t>(platform_index) + 1);
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   return z ^ (z >> 31);
@@ -149,10 +151,9 @@ void FleetSimulation::AddPlatform(PlatformSpec spec) {
   // profiler's own stream, sharded engines from each query's stream, so
   // every engine of either shape records into this one.
   slot->profiler = std::make_unique<profiling::CpuProfiler>(
-      config_.profiler_period, config_.cpu_hz, std::move(profiler_rng));
+      kProfilerPeriod, kCpuHz, std::move(profiler_rng));
 
   EngineContext context;
-  context.block_sampler = slot->block_sampler.get();
   context.registry = &registry_;
   context.profiler = slot->profiler.get();
   profiling::TracerOptions tracer_options = TracerOptionsFrom(config_);
@@ -243,9 +244,6 @@ void FleetSimulation::BuildStoragePlane(PlatformSlot& slot,
       storage::MinKeysForMass(slot.spec.ram_ssd_hit_target,
                               slot.spec.block_space, slot.spec.block_zipf_s);
   slot.dfs->PrewarmZipf(ram_blocks, ssd_blocks, slot.spec.typical_block_bytes);
-  slot.block_sampler = std::make_unique<ZipfSampler>(
-      slot.spec.block_space, slot.spec.block_zipf_s,
-      ThreadPool::ResolveParallelism(config_.parallelism));
 }
 
 std::unique_ptr<net::FaultModel> FleetSimulation::InstallFaults(
@@ -582,7 +580,6 @@ FleetMemoryStats FleetSimulation::MemoryStats() const {
     // Four clusters of worker hosts per platform region (the client and
     // fan-out draw space of the engine).
     stats.simulated_workers += 4ULL * kWorkerHosts;
-    stats.block_table_bytes += slot->block_sampler->memory_bytes();
     stats.cache_bytes += slot->dfs->memory_bytes();
   }
   stats.total_bytes =

@@ -30,14 +30,10 @@ struct FleetConfig {
   // we simulate fewer queries, so the default sampling is denser. The
   // sampling-rate ablation bench sweeps this.
   uint32_t trace_sample_one_in = 20;
-  SimTime profiler_period = SimTime::Micros(1000);
-  double cpu_hz = 3.0e9;
   uint64_t seed = 42;
   // Host threads used by RunAll: 0 = one per hardware thread, 1 = the
-  // serial path, N = at most N platforms simulate concurrently. Set-up
-  // spends the same budget: AddPlatform fills each Zipf block table's
-  // weights on that many threads. Every setting produces bit-identical
-  // results (see DESIGN.md).
+  // serial path, N = at most N platforms simulate concurrently. Every
+  // setting produces bit-identical results (see DESIGN.md).
   uint32_t parallelism = 0;
   // --- Intra-platform sharding -------------------------------------------
   // 0 (the default) is the legacy fused platform: one event kernel runs
@@ -73,8 +69,6 @@ struct FleetConfig {
   // Per-window, per-category virtual-time budgets (latency, cpu, io,
   // remote work). Zero = unlimited; overruns are flagged as anomalies.
   std::array<SimTime, profiling::kNumWindowCategories> continuous_budget = {};
-  // Bounded anomaly-log capacity (overflow counted, not stored).
-  size_t continuous_max_anomalies = 64;
   storage::DfsParams dfs;
   // Default fault spec installed on every shard's RPC fabric. All-zero (the
   // default) leaves the model un-armed: the fabric never consults it and
@@ -159,12 +153,10 @@ struct FleetMemoryStats {
   uint64_t total_bytes = 0;     // kernel + tracer + profiler
   uint64_t simulated_workers = 0;  // worker hosts modeled fleet-wide
   double bytes_per_worker = 0;     // total_bytes / simulated_workers
-  // Storage-plane state, reported beside total_bytes rather than in it.
-  // One Zipf block table per platform, sized by block_space at set-up.
-  uint64_t block_table_bytes = 0;
-  // RAM/SSD cache indexes of installed entries. The warm tail PrewarmZipf
-  // leaves has no index, so this is 0 right after set-up and grows with
-  // the blocks a run touches.
+  // Storage-plane state, reported beside total_bytes rather than in it:
+  // the RAM/SSD cache indexes of installed entries. The warm tail
+  // PrewarmZipf leaves has no index, so this is 0 right after set-up and
+  // grows with the blocks a run touches.
   uint64_t cache_bytes = 0;
 };
 
@@ -339,8 +331,6 @@ class FleetSimulation {
     std::vector<Kernel> kernels;
     std::unique_ptr<net::NetworkModel> network;
     std::unique_ptr<storage::DistributedFileSystem> dfs;
-    // The platform's block popularity table, shared by all its engines.
-    std::unique_ptr<ZipfSampler> block_sampler;
     // Where the engines' IO goes: the DFS directly when fused, the shard
     // fabric when sharded.
     std::unique_ptr<IoPort> io;
@@ -358,9 +348,8 @@ class FleetSimulation {
   };
 
   /**
-   * Builds `slot`'s storage plane — kernel, network, RPC, a Zipf-prewarmed
-   * DFS, and the block table its engines draw from — forking rpc then dfs
-   * from `platform_rng`.
+   * Builds `slot`'s storage plane — kernel, network, RPC and a
+   * Zipf-prewarmed DFS — forking rpc then dfs from `platform_rng`.
    */
   void BuildStoragePlane(PlatformSlot& slot, Rng& platform_rng) const;
 

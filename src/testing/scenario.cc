@@ -74,8 +74,9 @@ Scenario ScenarioGen::Generate(uint64_t seed) {
   }
   for (size_t i = 0; i < count; ++i) {
     platforms::PlatformSpec spec = all[order[i]];
-    // Shrink the Zipf block space so per-scenario setup (alias tables,
-    // cache prewarm) stays cheap; hit-rate targets keep their meaning.
+    // Shrink the Zipf block space so per-scenario setup (the cache
+    // prewarm's pass over the warm range) stays cheap; hit-rate targets
+    // keep their meaning.
     spec.block_space = 1 << 14;
     const uint32_t cores[] = {0, 0, 2, 8};
     spec.worker_cores = Pick(rng, cores);

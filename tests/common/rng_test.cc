@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -204,34 +205,62 @@ TEST(AliasSamplerDeathTest, RejectsNanWeight) {
 }
 
 TEST(ZipfSamplerTest, DrawDigestIsPinned) {
-  for (size_t threads : {1, 4}) {
-    ZipfSampler zipf(1 << 16, 0.85, threads);
-    EXPECT_EQ(DrawDigest(zipf, 67, 100000), 0x25e3423ee6ddde88ULL)
-        << threads << " threads";
+  ZipfSampler zipf(1 << 16, 0.85);
+  EXPECT_EQ(DrawDigest(zipf, 67, 100000), 0xe61a7137a1df73cfULL);
+}
+
+TEST(ZipfSamplerTest, DrawFrequenciesMatchExactMass) {
+  // The paper specs' block spaces and exponents, and s = 1, where the
+  // hat integral is a plain log. Each of ranks 0-9 and the tail bucket
+  // [n/2, n) must come within 5 standard errors of its exact Zipf mass.
+  struct Case {
+    size_t n;
+    double s;
+  };
+  const Case cases[] = {
+      {size_t{1} << 22, 0.85},  // Spanner
+      {size_t{1} << 22, 0.95},  // BigTable
+      {size_t{1} << 23, 0.6},   // BigQuery
+      {size_t{1} << 20, 1.0},
+  };
+  const int draws = 1000000;
+  constexpr size_t kHead = 10;
+  for (const Case& c : cases) {
+    // Exact masses, summed smallest term first.
+    double total = 0, tail = 0;
+    for (size_t k = c.n; k >= 1; --k) {
+      total += std::pow(static_cast<double>(k), -c.s);
+      if (k == c.n / 2 + 1) tail = total;
+    }
+    ZipfSampler zipf(c.n, c.s);
+    ASSERT_EQ(zipf.size(), c.n);
+    Rng rng(83);
+    std::vector<int> head(kHead, 0);
+    int in_tail = 0;
+    for (int i = 0; i < draws; ++i) {
+      const size_t rank = zipf.Sample(rng);
+      ASSERT_LT(rank, c.n);
+      if (rank < kHead) ++head[rank];
+      if (rank >= c.n / 2) ++in_tail;
+    }
+    auto expect_mass = [&](int count, double mass, const char* what) {
+      const double error = std::sqrt(mass * (1 - mass) / draws);
+      EXPECT_NEAR(count / static_cast<double>(draws), mass, 5 * error)
+          << what << " at n=" << c.n << " s=" << c.s;
+    };
+    for (size_t r = 0; r < kHead; ++r) {
+      expect_mass(head[r], std::pow(static_cast<double>(r + 1), -c.s) / total,
+                  ("rank " + std::to_string(r)).c_str());
+    }
+    expect_mass(in_tail, tail / total, "tail [n/2, n)");
   }
 }
 
-TEST(ZipfSamplerTest, TableIsBitIdenticalAtEveryThreadCount) {
-  // Several full fill chunks and a partial last one.
-  const size_t chunk = ZipfSampler::kFillChunk;
-  const size_t n = (size_t{1} << 17) + 3;
-  ASSERT_GT(n % chunk, 0u);
-  std::vector<size_t> probes = {0, n - 1};
-  for (size_t boundary = chunk; boundary < n; boundary += chunk) {
-    probes.push_back(boundary - 1);
-    probes.push_back(boundary);
-  }
-  const ZipfSampler serial(n, 0.9, 1);
-  const uint64_t digest = DrawDigest(serial, 79, 1000000);
-  for (size_t threads : {2, 3, 4}) {
-    const ZipfSampler threaded(n, 0.9, threads);
-    EXPECT_EQ(DrawDigest(threaded, 79, 1000000), digest)
-        << threads << " threads";
-    for (size_t i : probes) {
-      EXPECT_EQ(threaded.Probability(i), serial.Probability(i))
-          << "rank " << i << " at " << threads << " threads";
-    }
-  }
+TEST(ZipfSamplerDeathTest, RejectsExponentThatIsNotPositiveAndFinite) {
+  EXPECT_DEATH(ZipfSampler(100, 0.0), "exponent s is 0");
+  EXPECT_DEATH(ZipfSampler(100, -0.5), "exponent s is -0.5");
+  EXPECT_DEATH(ZipfSampler(100, std::nan("")), "exponent s is -?nan");
+  EXPECT_DEATH(ZipfSampler(100, INFINITY), "exponent s is inf");
 }
 
 TEST(ZipfSamplerTest, RankOneIsMostPopular) {

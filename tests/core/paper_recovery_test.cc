@@ -14,6 +14,7 @@
 #include "soc/chained_soc.h"
 #include "soc/host_pipeline.h"
 #include "storage/provisioning.h"
+#include "testing/recovery_claims.h"
 
 namespace hyperprof {
 namespace {
@@ -82,38 +83,7 @@ class SmallFleetTest : public ::testing::Test {
 platforms::FleetSimulation* SmallFleetTest::fleet_ = nullptr;
 
 TEST_F(SmallFleetTest, Table6IpcAndMpki) {
-  // Paper Table 6 per-platform means: IPC 0.7 / 0.7 / 1.2, branch MPKI
-  // 5.5 / 6.2 / 3.5, L1I MPKI 19.0 / 18.2 / 11.3. The recovered values
-  // are cycle-weighted compositions of the Table 7 per-category ground
-  // truth, so they track the paper loosely (20%) rather than exactly.
-  struct Row {
-    const char* name;
-    double ipc, br, l1i;
-  };
-  const Row rows[] = {
-      {"Spanner", 0.7, 5.5, 19.0},
-      {"BigTable", 0.7, 6.2, 18.2},
-      {"BigQuery", 1.2, 3.5, 11.3},
-  };
-  for (size_t p = 0; p < 3; ++p) {
-    auto result = fleet_->Result(p);
-    ASSERT_EQ(result.name, rows[p].name);
-    const auto& rollup = result.microarch.overall;
-    EXPECT_TRUE(Within(rollup.Ipc(), rows[p].ipc, 0.20))
-        << rows[p].name << " IPC";
-    EXPECT_TRUE(Within(rollup.BrMpki(), rows[p].br, 0.20))
-        << rows[p].name << " BR MPKI";
-    EXPECT_TRUE(Within(rollup.L1iMpki(), rows[p].l1i, 0.20))
-        << rows[p].name << " L1I MPKI";
-    // Orderings the paper calls out: BigQuery (analytics) runs at higher
-    // IPC and lower front-end miss rates than the two serving platforms.
-    EXPECT_GT(rollup.Ipc(), 0);
-    EXPECT_GT(rollup.LlcMpki(), 0);
-  }
-  auto spanner = fleet_->Result(0).microarch.overall;
-  auto bigquery = fleet_->Result(2).microarch.overall;
-  EXPECT_GT(bigquery.Ipc(), spanner.Ipc());
-  EXPECT_LT(bigquery.L1iMpki(), spanner.L1iMpki());
+  EXPECT_TRUE(claims::AllHold(claims::Table6(*fleet_)));
 }
 
 // --- Table 8: chained-accelerator model validation ----------------------

@@ -1,14 +1,13 @@
 // End-to-end reproduction shape tests: run the fleet characterization,
 // derive model inputs from the *measured* profiles, and assert the
 // paper's headline qualitative results (who wins, by roughly what factor,
-// where the crossovers fall) — the contract of this reproduction.
+// where the crossovers fall) — the contract of this reproduction. The
+// claims and their thresholds live in testing/recovery_claims.cc.
 
 #include <gtest/gtest.h>
 
-#include "core/configs.h"
-#include "core/limit_studies.h"
-#include "core/platform_inputs.h"
 #include "platforms/fleet.h"
+#include "testing/recovery_claims.h"
 
 namespace hyperprof::model {
 namespace {
@@ -28,142 +27,33 @@ class ReproductionTest : public ::testing::Test {
     fleet_ = nullptr;
   }
 
-  static PlatformModelInput Input(size_t index) {
-    auto result = fleet_->Result(index);
-    return BuildModelInput(result, fleet_->TracesOf(index), 0);
-  }
-
-  static double GroupMeanSpeedup(size_t index, double factor,
-                                 const AccelSystemConfig& config,
-                                 double offload_bytes) {
-    auto result = fleet_->Result(index);
-    auto groups = BuildGroupWorkloads(
-        result, fleet_->TracesOf(index),
-        AcceleratedCategoriesFor(result.name));
-    return GroupWeightedSpeedup(groups, [&](const Workload& base) {
-      Workload workload = base;
-      ApplyConfig(workload, config, offload_bytes);
-      for (auto& component : workload.components) {
-        component.speedup = factor;
-      }
-      return AccelModel(workload).Speedup();
-    });
-  }
-
   static platforms::FleetSimulation* fleet_;
 };
 
 platforms::FleetSimulation* ReproductionTest::fleet_ = nullptr;
 
 TEST_F(ReproductionTest, Fig9WithoutDepsBigTableDominatesByOrders) {
-  // Paper: 9.1x / 3,223.6x / 8.5x at 64x — BigTable's remote-dominated
-  // average yields a bound orders of magnitude above the other two.
-  double bounds[3];
-  for (size_t p = 0; p < 3; ++p) {
-    auto curve = UniformSpeedupSweep(Input(p).overall, {64.0},
-                                     /*remove_dep=*/true);
-    bounds[p] = curve[0].e2e_speedup;
-  }
-  EXPECT_GT(bounds[1], 100 * bounds[0]);  // BigTable >> Spanner
-  EXPECT_GT(bounds[1], 100 * bounds[2]);  // BigTable >> BigQuery
-  EXPECT_GT(bounds[0], 3.0);              // databases: single digits
-  EXPECT_LT(bounds[0], 20.0);
-  EXPECT_GT(bounds[2], 3.0);
-  EXPECT_LT(bounds[2], 30.0);
+  EXPECT_TRUE(claims::AllHold(claims::Fig9WithoutDeps(*fleet_)));
 }
 
 TEST_F(ReproductionTest, Fig9WithDepsNearPaperValues) {
-  // Paper: 2.0x / 2.2x / 1.4x at 64x.
-  double expected[3] = {2.0, 2.2, 1.4};
-  for (size_t p = 0; p < 3; ++p) {
-    double speedup = GroupMeanSpeedup(
-        p, 64.0, AccelSystemConfig::SyncOnChip(), 0);
-    EXPECT_NEAR(speedup, expected[p], 0.45) << p;
-  }
+  EXPECT_TRUE(claims::AllHold(claims::Fig9WithDeps(*fleet_)));
 }
 
 TEST_F(ReproductionTest, Fig13InvocationOrderingHolds) {
-  // Sync+off-chip <= sync+on-chip <= chained <= async, everywhere.
-  for (size_t p = 0; p < 3; ++p) {
-    double offload = p == 2 ? 64.0 * (1 << 20) : 32.0 * (1 << 10);
-    double off = GroupMeanSpeedup(p, 8.0, AccelSystemConfig::SyncOffChip(),
-                                  offload);
-    double on =
-        GroupMeanSpeedup(p, 8.0, AccelSystemConfig::SyncOnChip(), offload);
-    double chained = GroupMeanSpeedup(
-        p, 8.0, AccelSystemConfig::ChainedOnChip(), offload);
-    double async = GroupMeanSpeedup(
-        p, 8.0, AccelSystemConfig::AsyncOnChip(), offload);
-    EXPECT_LE(off, on + 1e-9) << p;
-    EXPECT_LE(on, chained + 1e-9) << p;
-    EXPECT_LE(chained, async + 1e-9) << p;
-    // Paper: chaining recovers nearly all of the asynchronous benefit.
-    EXPECT_NEAR(chained / async, 1.0, 0.01) << p;
-  }
+  EXPECT_TRUE(claims::AllHold(claims::Fig13InvocationOrdering(*fleet_)));
 }
 
 TEST_F(ReproductionTest, Fig13BigQueryOffChipIsASlowdown) {
-  // Paper: BigQuery's large payloads make off-chip acceleration a net
-  // slowdown while on-chip still helps.
-  double off = GroupMeanSpeedup(2, 8.0, AccelSystemConfig::SyncOffChip(),
-                                64.0 * (1 << 20));
-  double on = GroupMeanSpeedup(2, 8.0, AccelSystemConfig::SyncOnChip(),
-                               64.0 * (1 << 20));
-  EXPECT_LT(off, 1.0);
-  EXPECT_GT(on, 1.0);
-  // The databases' small payloads keep off-chip close to on-chip
-  // (paper: ~1.04x apart).
-  double db_off = GroupMeanSpeedup(
-      0, 8.0, AccelSystemConfig::SyncOffChip(), 32.0 * (1 << 10));
-  double db_on = GroupMeanSpeedup(0, 8.0, AccelSystemConfig::SyncOnChip(),
-                                  32.0 * (1 << 10));
-  EXPECT_NEAR(db_on / db_off, 1.05, 0.1);
+  EXPECT_TRUE(claims::AllHold(claims::Fig13BigQueryOffChip(*fleet_)));
 }
 
 TEST_F(ReproductionTest, Fig14SetupHurtsSyncBeforeChained) {
-  // At 100us setup, sync degrades visibly while chained barely moves.
-  for (size_t p = 0; p < 2; ++p) {  // databases
-    AccelSystemConfig sync = AccelSystemConfig::SyncOnChip();
-    AccelSystemConfig chained = AccelSystemConfig::ChainedOnChip();
-    double sync_clean = GroupMeanSpeedup(p, 8.0, sync, 0);
-    sync.setup_time = 100e-6;
-    chained.setup_time = 100e-6;
-    double sync_dirty = GroupMeanSpeedup(p, 8.0, sync, 0);
-    double chained_dirty = GroupMeanSpeedup(p, 8.0, chained, 0);
-    EXPECT_LT(sync_dirty, 0.85 * sync_clean) << p;
-    EXPECT_GT(chained_dirty, sync_dirty) << p;
-  }
+  EXPECT_TRUE(claims::AllHold(claims::Fig14Setup(*fleet_)));
 }
 
 TEST_F(ReproductionTest, Fig15CombinedInPaperRange) {
-  // Paper: holistic synchronous acceleration with published accelerators
-  // yields 1.5-1.7x; our databases land in/near that band.
-  for (size_t p = 0; p < 2; ++p) {
-    auto result = fleet_->Result(p);
-    auto groups = BuildGroupWorkloads(
-        result, fleet_->TracesOf(p),
-        PriorStudyCategoriesFor(result.name));
-    auto accelerators = PriorAcceleratorSet();
-    double combined = GroupWeightedSpeedup(
-        groups, [&](const Workload& base) {
-          Workload workload = base;
-          std::vector<Component> kept;
-          for (const auto& component : workload.components) {
-            for (const auto& accelerator : accelerators) {
-              if (component.name == accelerator.component_name) {
-                Component configured = component;
-                configured.speedup = accelerator.speedup;
-                kept.push_back(configured);
-                break;
-              }
-            }
-          }
-          workload.components = std::move(kept);
-          return AccelModel(workload).Speedup();
-        });
-    EXPECT_GT(combined, 1.35) << p;
-    EXPECT_LT(combined, 1.85) << p;
-  }
+  EXPECT_TRUE(claims::AllHold(claims::Fig15Combined(*fleet_)));
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 // Paxos rounds — perform ZERO heap allocations.
 //
 // Each test wires one fused platform the way FleetSimulation does (one
-// kernel, one RpcSystem, the DFS behind a DirectIoPort, prewarmed caches,
-// a Zipf block table), runs a warm-up batch to completion, then counts
+// kernel, one RpcSystem, the DFS behind a DirectIoPort, prewarmed caches),
+// runs a warm-up batch to completion, then counts
 // every allocation across the next batch on the same engine, at
 // FleetConfig's default arrival rate.
 //
@@ -84,8 +84,7 @@ class FusedPlatform {
         io_(&dfs_),
         tracer_(1u << 30, Rng(4)),
         profiler_(kProfilerPeriod, 3e9, Rng(5)),
-        registry_(profiling::BuildFleetRegistry()),
-        blocks_(spec_.block_space, spec_.block_zipf_s) {
+        registry_(profiling::BuildFleetRegistry()) {
     dfs_.PrewarmZipf(
         storage::MinKeysForMass(spec_.ram_hit_target, spec_.block_space,
                                 spec_.block_zipf_s),
@@ -99,7 +98,6 @@ class FusedPlatform {
     context.tracer = &tracer_;
     context.profiler = &profiler_;
     context.registry = &registry_;
-    context.block_sampler = &blocks_;
     engine_ = std::make_unique<PlatformEngine>(context, spec_, Rng(7));
   }
 
@@ -125,7 +123,6 @@ class FusedPlatform {
   profiling::Tracer tracer_;
   profiling::CpuProfiler profiler_;
   profiling::FunctionRegistry registry_;
-  ZipfSampler blocks_;
   std::unique_ptr<PlatformEngine> engine_;
 };
 

@@ -58,8 +58,7 @@ class EngineTest : public ::testing::Test {
         io_(&dfs_),
         tracer_(1, Rng(4)),  // trace everything
         profiler_(SimTime::Micros(200), 3e9, Rng(5)),
-        registry_(profiling::BuildFleetRegistry()),
-        blocks_(SimpleSpec().block_space, SimpleSpec().block_zipf_s) {}
+        registry_(profiling::BuildFleetRegistry()) {}
 
   EngineContext Context() {
     EngineContext context;
@@ -69,7 +68,6 @@ class EngineTest : public ::testing::Test {
     context.tracer = &tracer_;
     context.profiler = &profiler_;
     context.registry = &registry_;
-    context.block_sampler = &blocks_;
     return context;
   }
 
@@ -106,7 +104,6 @@ class EngineTest : public ::testing::Test {
   profiling::Tracer tracer_;
   profiling::CpuProfiler profiler_;
   profiling::FunctionRegistry registry_;
-  ZipfSampler blocks_;  // the block table of SimpleSpec()
 };
 
 TEST_F(EngineTest, CompletesAllQueries) {
@@ -232,7 +229,6 @@ TEST_F(EngineTest, DeterministicAcrossRuns) {
     context.tracer = &tracer;
     context.profiler = &profiler;
     context.registry = &registry_;
-    context.block_sampler = &blocks_;
     PlatformEngine engine(context, SimpleSpec(), Rng(seed));
     engine.Run(30, 1000.0);
     simulator.Run();

@@ -1,10 +1,10 @@
 // Golden regression gate for the trace pipeline: the breakdown numbers a
 // fixed fleet configuration recovers must stay bit-identical across
-// pipeline rewrites. The constants below were captured from the pre-intern
-// (string-name, batch re-attribution) pipeline with %.17g formatting, so
-// every double round-trips exactly; the streaming interned pipeline must
-// reproduce them to the last bit, through both the streaming accumulator
-// and the batch Compute* functions.
+// pipeline rewrites. The constants below were last captured when block
+// draws moved to rejection-inversion and Spanner's query weights were
+// re-fit, with %.17g formatting, so every double round-trips exactly; the
+// pipeline must reproduce them to the last bit, through both the
+// streaming accumulator and the batch Compute* functions.
 #include <string>
 #include <vector>
 
@@ -45,101 +45,102 @@ struct GoldenPlatform {
 
 const GoldenPlatform kGolden[] = {
     {"Spanner",
-     {{0.81530036000000039, 0.071644810999999989, 0.11193633599999998,
-       171.01080875786667, 18.207121400675415, 15.782069841457947, 205},
-      {0.025907382999999996, 0.16993079999999997, 0.0029416199999999998,
-       9.83017022124716, 37.303777548706556, 0.86605223004627663, 48},
-      {0.11942266499999998, 0.015283269000000004, 0.25799732900000005,
-       24.544372344986126, 4.1795650375793754, 49.276062617434498, 78},
-      {0.0045226090000000004, 0.0021634720000000001, 0.002479312,
-       1.4757354438028263, 0.70988814338316497, 0.81437641281400852, 3}},
-     {0.96515301700000034, 0.25902235200000001, 0.37535459699999979,
-      206.86108676790275, 60.400352130344508, 66.738561101752722, 334},
-     {{"read_write_txn", 0.43060894999999993, 0.033522741000000009,
-       0.128031546, 82},
-      {"point_read", 0.409250799, 0.05096522400000001, 0, 134},
-      {"global_commit", 0.069632611000000011, 0, 0.21761244400000004, 51},
-      {"range_scan", 0.019517709999999997, 0.14898031, 0, 43},
-      {"mixed", 0.036142947000000009, 0.025554077000000005,
-       0.029710607000000003, 24}},
-     0.86084661682951247,
-     {{1, 15, 0.1301859799713877},
-      {1, 16, 0.068669527896995708},
-      {1, 17, 0.16595135908440631},
-      {1, 18, 0.14878397711015737},
-      {1, 19, 0.25178826895565093},
-      {1, 20, 0.23462088698140202},
-      {2, 21, 0.0087019579405366206},
-      {2, 22, 0.091370558375634514},
-      {2, 23, 0.03553299492385787},
-      {2, 24, 0.055837563451776651},
-      {2, 25, 0.047860768672951415},
-      {2, 26, 0.26178390137780999},
-      {2, 27, 0.46265409717186368},
-      {2, 28, 0.036258158085569252}}},
+     {{0.75902481800000099, 0.065574077000000008, 0.081488616999999999,
+       169.49474879328321, 17.93978696246743, 11.565464244249281, 199},
+      {0.029184234000000007, 0.22450142600000003, 0.0024906899999999998,
+       8.5943962059531245, 40.91830632854797, 0.48729746549889558, 50},
+      {0.06923348, 0.010776591000000002, 0.10490334500000004,
+       15.065274453844507, 2.8850661152250394, 21.049659430930454, 39},
+      {0.011401351000000002, 0.0044773080000000002, 0.0051520790000000004,
+       3.7553875231887863, 1.5633297594846667, 1.6812827173265472, 7}},
+     {0.86884388300000126, 0.30532940200000019, 0.19403473099999999,
+       196.90980697626941, 63.306489165725075, 34.78370385800519, 295},
+     {{"point_read", 0.4630531599999998, 0.06257392199999999, 0, 148},
+      {"read_write_txn", 0.33323149099999999, 0.026878398000000012,
+       0.10284578600000004, 66},
+      {"range_scan", 0.017762487, 0.188754279, 0, 45},
+      {"global_commit", 0.024183665, 0, 0.07217596300000001, 17},
+      {"mixed", 0.030613080000000001, 0.027122803000000001,
+       0.019012982000000001, 19}},
+     0.80960750460809028,
+     {{1, 15, 0.14351547070441079},
+      {1, 16, 0.076366030283080977},
+      {1, 17, 0.16326530612244897},
+      {1, 18, 0.14154048716260698},
+      {1, 19, 0.23568136932192232},
+      {1, 20, 0.23963133640552994},
+      {2, 21, 0.012328767123287671},
+      {2, 22, 0.090410958904109592},
+      {2, 23, 0.033561643835616439},
+      {2, 24, 0.052739726027397259},
+      {2, 25, 0.063013698630136991},
+      {2, 26, 0.28835616438356165},
+      {2, 27, 0.42397260273972603},
+      {2, 28, 0.035616438356164383}}},
     {"BigTable",
-     {{0.51835557099999974, 0.09132996700000004, 0.0013094180000000001,
-       198.82895214144315, 36.692051441779789, 0.47899641677697258, 236},
-      {0.078432855000000024, 0.18287106699999997, 0, 19.67678986265037,
-       27.323210137349626, 0, 47},
-      {0.098607502, 0.0089207729999999982, 304.87100889000004,
-       10.400419042736008, 2.5687176488888777, 28.03086330837511, 41},
-      {0, 0, 0, 0, 0, 0, 0}},
-     {0.69539592799999939, 0.28312180700000006, 304.87231830800005,
-      228.90616104682962, 66.583979228018322, 28.509859725152083, 324},
-     {{"compaction_wait", 0.059348601000000008, 0, 304.80906392900005, 12},
-      {"point_get", 0.2897576939999999, 0.06232451700000001, 0, 147},
-      {"scan", 0.11416812500000005, 0.18151841599999996, 0, 58},
-      {"put", 0.18921601599999999, 0.029784390000000008, 0, 76},
-      {"mixed", 0.04290549200000001, 0.0094944839999999992,
-       0.063254378999999999, 31}},
-     0.99999999999993405,
-     {{1, 15, 0.28397873955960518},
-      {1, 16, 0.031131359149582385},
-      {1, 17, 0.050873196659073652},
-      {1, 18, 0.040242976461655276},
-      {1, 19, 0.21791951404707668},
-      {1, 20, 0.37585421412300685},
-      {2, 21, 0.024107142857142858},
-      {2, 22, 0.16339285714285715},
-      {2, 23, 0.057142857142857141},
-      {2, 24, 0.060714285714285714},
-      {2, 25, 0.087499999999999994},
-      {2, 26, 0.22500000000000001},
-      {2, 27, 0.33303571428571427},
-      {2, 28, 0.049107142857142856}}},
+     {{0.49238319699999994, 0.093625153000000044, 0,
+       191.35892450048885, 37.641075499511189, 0, 229},
+      {0.070850948000000011, 0.19748154000000001, 0.0035794380000000003,
+       15.003288350291809, 23.768465372842797, 0.22824627686539325, 39},
+      {0.091795011000000024, 0.0083660460000000002, 278.47211505600001,
+       9.8364916680127212, 2.4698493928091025, 26.693658939178182, 39},
+      {0, 0, 0,
+       0, 0, 0, 0}},
+     {0.65502915600000045, 0.29947273899999993, 278.47569449400004,
+       216.19870451879336, 63.879390265163075, 26.921905216043577, 307},
+     {{"compaction_wait", 0.058127616, 0, 278.41791806000003, 12},
+      {"point_get", 0.294705567, 0.068047179000000027, 0, 151},
+      {"scan", 0.12107370900000003, 0.18826098000000002, 0, 56},
+      {"put", 0.14688345799999999, 0.023267033000000003, 0, 60},
+      {"mixed", 0.034238806000000004, 0.019897547000000002,
+       0.057776434000000008, 28}},
+     0.99999999999984923,
+     {{1, 15, 0.29118773946360155},
+      {1, 16, 0.024521072796934867},
+      {1, 17, 0.054406130268199231},
+      {1, 18, 0.043678160919540229},
+      {1, 19, 0.20689655172413793},
+      {1, 20, 0.37931034482758619},
+      {2, 21, 0.024953789279112754},
+      {2, 22, 0.15711645101663585},
+      {2, 23, 0.054528650646950096},
+      {2, 24, 0.048059149722735672},
+      {2, 25, 0.086876155268022184},
+      {2, 26, 0.23382624768946395},
+      {2, 27, 0.34750462107208874},
+      {2, 28, 0.047134935304990758}}},
     {"BigQuery",
-     {{0.89424281299999986, 0.213182973, 0.041467868000000005,
-       34.234032600614853, 6.1097835254072583, 4.6561838739778878, 45},
-      {0.4447245580000001, 4.1817422059999991, 0.039652791,
-       22.809528933238347, 138.62620042892195, 2.5642706378397202, 164},
-      {1.6724444360000006, 1.3626812339999999, 3.9169732160000001,
-       16.542496336614018, 12.278294560480736, 36.17920910290524, 65},
-      {0, 0, 0, 0, 0, 0, 0}},
-     {3.0114118069999991, 5.7576064129999986, 3.9980938749999999,
-      73.586057870467158, 157.01427851480989, 43.39966361472284, 274},
-     {{"shuffle_join", 1.6597302900000006, 1.3609606299999999,
-       3.908873147, 61},
-      {"large_scan", 0.028755318000000005, 3.4026916530000002, 0, 90},
-      {"interactive_agg", 0.87873228699999983, 0.33897289100000011, 0, 30},
-      {"export", 0.16623079099999996, 0.44588444500000007, 0, 46},
-      {"lookup", 0.27796312099999998, 0.20909679399999997,
-       0.089220728000000027, 47}},
-     0.64196039165020924,
-     {{1, 15, 0.31032304638151958},
-      {1, 16, 0.050622631293990257},
-      {1, 17, 0.16143295434037178},
-      {1, 18, 0.12263129399025446},
-      {1, 19, 0.24742826204656199},
-      {1, 20, 0.10756181194730192},
-      {2, 21, 0.021398250021658148},
-      {2, 22, 0.09720176730486009},
-      {2, 23, 0.042103439313869881},
-      {2, 24, 0.048600883652430045},
-      {2, 25, 0.039244563804903404},
-      {2, 26, 0.18686649917699039},
-      {2, 27, 0.5267261543792775},
-      {2, 28, 0.037858442346010567}}},
+     {{0.95505827300000012, 0.18765393300000008, 0.028845051000000003,
+       32.761111933895037, 5.6111107507512479, 3.6277773153537245, 42},
+      {0.4121477349999999, 3.9101963569999998, 0.057809459000000007,
+       23.140143808110924, 130.53145108560724, 3.328405106281799, 157},
+      {2.1876716759999999, 1.4586350710000004, 4.445292524000001,
+       19.91109193440597, 12.610419715183637, 39.478488350410387, 72},
+      {0, 0, 0,
+       0, 0, 0, 0}},
+     {3.5548776840000018, 5.5564853609999991, 4.5319470340000017,
+       75.81234767641196, 148.75298155154212, 46.434670772045912, 271},
+     {{"shuffle_join", 2.1739239499999998, 1.4567748290000002,
+       4.4338880590000009, 68},
+      {"large_scan", 0.089582911000000015, 3.2206188409999998, 0, 85},
+      {"interactive_agg", 0.83241696900000006, 0.19838224800000004, 0, 25},
+      {"lookup", 0.298867255, 0.25418334800000009, 0.09805897500000002, 49},
+      {"export", 0.16008659900000008, 0.42652609499999999, 0, 44}},
+     0.67494477634488304,
+     {{1, 15, 0.30985429778429174},
+      {1, 16, 0.051987240279334428},
+      {1, 17, 0.15544443486507459},
+      {1, 18, 0.12061384602120873},
+      {1, 19, 0.24803862401931201},
+      {1, 20, 0.11406155703077851},
+      {2, 21, 0.020247194665799318},
+      {2, 22, 0.097576841762888278},
+      {2, 23, 0.038868108635550493},
+      {2, 24, 0.047975280533420067},
+      {2, 25, 0.043746950723694909},
+      {2, 26, 0.18141161164416977},
+      {2, 27, 0.53065539112050741},
+      {2, 28, 0.039518620913969751}}},
 };
 
 void ExpectAggregateEq(const profiling::GroupAggregate& got,

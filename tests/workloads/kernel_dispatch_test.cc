@@ -59,7 +59,9 @@ TEST(CpuDispatchTest, DetectionIsStable) {
 #if defined(__x86_64__)
   // The hardware CRC path rides on SSE4.2; pclmul/avx2 imply it in
   // practice on every x86-64 that has them.
-  if (first.avx2) EXPECT_TRUE(first.sse42);
+  if (first.avx2) {
+    EXPECT_TRUE(first.sse42);
+  }
 #endif
 }
 
