@@ -9,9 +9,9 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/parallel_for.h"
 #include "common/strings.h"
 #include "common/table.h"
-#include "core/parallel_sweep.h"
 #include "soc/chained_soc.h"
 
 using namespace hyperprof;
@@ -38,7 +38,9 @@ void PrintAblation() {
       grid.push_back({count, overlap});
     }
   }
-  auto rows = model::ParallelSweep(grid, [](const GridPoint& point) {
+  std::vector<std::vector<std::string>> rows(grid.size());
+  ParallelFor(grid.size(), /*parallelism=*/0, [&](size_t i) {
+    const GridPoint& point = grid[i];
     Rng rng(17);
     soc::MessageBatch batch =
         soc::MessageBatch::Synthetic(point.count, 2048, rng);
@@ -50,12 +52,11 @@ void PrintAblation() {
     auto chained = sim.RunChained(batch);
     double modeled = sim.ModeledChained(unaccel);
     double measured = chained.total.ToSeconds();
-    return std::vector<std::string>{
-        StrFormat("%zu", point.count),
-        StrFormat("%.0f%%", point.overlap * 100), HumanSeconds(measured),
-        HumanSeconds(modeled),
-        StrFormat("%.1f%%",
-                  100.0 * std::fabs(measured - modeled) / modeled)};
+    rows[i] = {StrFormat("%zu", point.count),
+               StrFormat("%.0f%%", point.overlap * 100),
+               HumanSeconds(measured), HumanSeconds(modeled),
+               StrFormat("%.1f%%",
+                         100.0 * std::fabs(measured - modeled) / modeled)};
   });
   for (const auto& row : rows) table.AddRow(row);
   std::printf("%s", table.ToString().c_str());

@@ -8,9 +8,9 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/parallel_for.h"
 #include "common/strings.h"
 #include "common/table.h"
-#include "core/parallel_sweep.h"
 #include "platforms/fleet.h"
 #include "platforms/platforms.h"
 #include "profiling/aggregate.h"
@@ -43,7 +43,9 @@ void PrintAblation() {
               "sampling rates (6,000 queries; baseline traces all of "
               "them).\n\n");
   std::vector<uint32_t> rates = {1, 5, 20, 100, 500, 1000};
-  auto outcomes = model::ParallelSweep(rates, RunWithSampling);
+  std::vector<SamplingOutcome> outcomes(rates.size());
+  ParallelFor(rates.size(), /*parallelism=*/0,
+              [&](size_t i) { outcomes[i] = RunWithSampling(rates[i]); });
   const auto& baseline = outcomes.front().mean;  // rates[0] == 1/1
   TextTable table({"Sampling", "Traced queries", "CPU%", "IO%", "Remote%",
                    "L1 error vs full"});

@@ -8,9 +8,9 @@
 
 #include <cstdio>
 
+#include "common/parallel_for.h"
 #include "common/strings.h"
 #include "common/table.h"
-#include "core/parallel_sweep.h"
 #include "platforms/fleet.h"
 #include "platforms/platforms.h"
 #include "profiling/aggregate.h"
@@ -60,8 +60,10 @@ void PrintAblation() {
               "because queue wait is invisible to span attribution.\n\n");
   TextTable table({"Cores", "Mean latency", "CPU%", "IO%", "Remote%"});
   std::vector<uint32_t> core_counts = {0, 32, 12, 8, 6};
-  auto outcomes = model::ParallelSweep(
-      core_counts, [](uint32_t cores) { return RunAtCores(cores, 2000); });
+  std::vector<RunOutcome> outcomes(core_counts.size());
+  ParallelFor(core_counts.size(), /*parallelism=*/0, [&](size_t i) {
+    outcomes[i] = RunAtCores(core_counts[i], 2000);
+  });
   for (size_t i = 0; i < core_counts.size(); ++i) {
     const RunOutcome& outcome = outcomes[i];
     table.AddRow({core_counts[i] == 0 ? "unlimited"

@@ -11,7 +11,6 @@
 #include "common/strings.h"
 #include "common/table.h"
 #include "core/limit_studies.h"
-#include "core/parallel_sweep.h"
 #include "core/platform_inputs.h"
 
 using namespace hyperprof;
@@ -61,17 +60,12 @@ void PrintFig14() {
     std::printf("--- %s ---\n", result.name.c_str());
     TextTable table({"Setup time", "Sync+OffChip", "Sync+OnChip",
                      "Async+OnChip", "Chained+OnChip"});
-    // Every (setup, config) point is independent; sweep them on the pool
-    // and print in input order.
-    auto rows = model::ParallelSweep(setups, [&](double setup) {
+    for (double setup : setups) {
       std::vector<double> row;
       for (const auto& config : configs) {
         row.push_back(Evaluate(groups, config, setup, offload));
       }
-      return row;
-    });
-    for (size_t i = 0; i < setups.size(); ++i) {
-      table.AddRow(HumanSeconds(setups[i]), rows[i], "%.3f");
+      table.AddRow(HumanSeconds(setup), row, "%.3f");
     }
     std::printf("%s\n", table.ToString().c_str());
   }

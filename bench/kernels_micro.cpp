@@ -90,8 +90,7 @@ BENCHMARK(BM_Crc32cThroughput)->Range(256, 1 << 20);
 
 // Pins the dispatch policy for one benchmark run so the portable
 // slicing-by-8 path and the hardware crc32-instruction path can be read
-// side by side regardless of HYPERPROF_KERNEL_DISPATCH. Second range arg:
-// 0 = portable, 1 = native.
+// side by side. Second range arg: 0 = portable, 1 = native.
 void BM_Crc32cDispatch(benchmark::State& state) {
   KernelDispatch mode = state.range(1) != 0 ? KernelDispatch::kNative
                                             : KernelDispatch::kPortable;

@@ -3,15 +3,18 @@
 // CPU-cycle breakdowns, the reproduction of the paper's Figures 2-6 and
 // Tables 6-7 methodology, plus a GWP-style flat profile.
 //
-// Usage: fleet_profile [queries_per_platform] [fault_rate]
+// Usage: fleet_profile [queries_per_platform] [fault_rate] [output_dir]
 //
 // A nonzero fault_rate arms the fault injector on every shard (half the
 // rate as RPC slowdowns, a quarter each as drops and errors), enables
 // timeout/retry/hedge policies on the DFS paths, and appends the
 // recovered resilience report (wasted work, attempt-count distribution).
+// Each platform's trace, folded-stack and pprof exports are written to
+// output_dir (default /tmp) as hyperprof_<platform>_*.
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "common/strings.h"
 #include "common/table.h"
@@ -31,6 +34,7 @@ int main(int argc, char** argv) {
         static_cast<uint64_t>(std::strtoull(argv[1], nullptr, 10));
   }
   double fault_rate = argc > 2 ? std::atof(argv[2]) : 0.0;
+  const std::string output_dir = argc > 3 ? argv[3] : "/tmp";
   if (fault_rate > 0) {
     config.fault.slowdown_probability = fault_rate / 2;
     config.fault.drop_probability = fault_rate / 4;
@@ -155,21 +159,20 @@ int main(int argc, char** argv) {
                       .c_str());
     }
 
-    std::string trace_path =
-        "/tmp/hyperprof_" + result.name + "_traces.json";
+    const std::string prefix = output_dir + "/hyperprof_" + result.name;
+    std::string trace_path = prefix + "_traces.json";
     if (profiling::WriteChromeTrace(fleet.TracesOf(i), fleet.NamesOf(i),
                                     trace_path, 100)) {
       std::printf("Wrote %s (load in a Chrome/Perfetto trace viewer)\n",
                   trace_path.c_str());
     }
-    std::string folded_path =
-        "/tmp/hyperprof_" + result.name + "_stacks.folded";
+    std::string folded_path = prefix + "_stacks.folded";
     if (profiling::WriteCollapsedStacks(fleet.TracesOf(i), fleet.NamesOf(i),
                                         folded_path)) {
       std::printf("Wrote %s (flamegraph.pl / speedscope input)\n",
                   folded_path.c_str());
     }
-    std::string pprof_path = "/tmp/hyperprof_" + result.name + "_profile.pb";
+    std::string pprof_path = prefix + "_profile.pb";
     if (profiling::WritePprofProfile(fleet.TracesOf(i), fleet.NamesOf(i),
                                      pprof_path)) {
       std::printf("Wrote %s (go tool pprof compatible)\n\n",

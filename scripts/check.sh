@@ -20,9 +20,7 @@
 #   FUZZ=1 scripts/check.sh     # additionally runs the deterministic
 #                               # simulation fuzz block (simtest_fuzz
 #                               # --seeds 100 --base-seed 1) on whichever
-#                               # build the other flags selected, with
-#                               # native kernel dispatch forced (digests
-#                               # must not depend on the dispatch policy)
+#                               # build the other flags selected
 #   SERVE=1 scripts/check.sh    # additionally smoke-runs the serving
 #                               # front door: the epoll daemon plus the
 #                               # open-loop load generator on loopback
@@ -36,7 +34,8 @@
 #                               # worker kernels per platform (N=0 forces
 #                               # the fused path), pinning the sharded
 #                               # determinism contract — under TSan this
-#                               # runs sharded platforms on pool threads
+#                               # runs sharded platforms on RunAll's
+#                               # threads
 #   PERFBENCH=1 scripts/check.sh
 #                               # additionally builds the repository
 #                               # benchmark (perfbench/, its own optimized,
@@ -83,11 +82,6 @@ cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$(nproc)"
 
-# Re-run every kernel-facing suite with the kernel dispatch policy pinned
-# each way (the suite list lives in scripts/kernel_suites.sh, shared with
-# CI).
-scripts/kernel_suites.sh "$BUILD_DIR"
-
 if [[ "${ASAN:-0}" != "0" ]]; then
   # Slot recycling, reservoir swaps, and interner string_view lifetimes get
   # a dedicated pass under ASan via the ingest micro-bench in smoke mode.
@@ -98,8 +92,9 @@ if [[ "${FAULTS:-0}" != "0" ]]; then
   # Fault-injection smoke: a small fleet run with a 5% fault rate drives
   # the timeout/retry/hedge machinery — timer cancellation, abandoned
   # attempts, quorum stragglers — under the sanitizers, where lifetime
-  # bugs in the completion paths would otherwise hide.
-  "$BUILD_DIR/examples/fleet_profile" 500 0.05
+  # bugs in the completion paths would otherwise hide. Its export files
+  # go to the build directory, so concurrent builds do not share them.
+  "$BUILD_DIR/examples/fleet_profile" 500 0.05 "$BUILD_DIR"
 fi
 
 if [[ "${SERVE:-0}" != "0" ]]; then
@@ -117,13 +112,9 @@ if [[ "${UBSAN:-0}" != "0" || "${FUZZ:-0}" != "0" ]]; then
   # daemon's pause/resume path) with mid-run checks after every step,
   # parallel, and replayed in one shot — with the full invariant
   # catalogue.
-  # Native dispatch is forced so the hardware kernel paths run underneath
-  # the digest comparison — the digests are computed from simulated
-  # timings and must come out the same as under portable dispatch.
   # Reproduce a failure locally with:
   #   $BUILD_DIR/src/testing/simtest_fuzz --seeds 1 --base-seed <seed> --shrink
-  HYPERPROF_KERNEL_DISPATCH=native \
-    "$BUILD_DIR/src/testing/simtest_fuzz" --seeds 100 --base-seed 1
+  "$BUILD_DIR/src/testing/simtest_fuzz" --seeds 100 --base-seed 1
 fi
 
 if [[ -n "${SHARDS:-}" ]]; then

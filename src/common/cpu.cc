@@ -1,8 +1,6 @@
 #include "common/cpu.h"
 
 #include <atomic>
-#include <cstdlib>
-#include <cstring>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <cpuid.h>
@@ -54,14 +52,6 @@ CpuFeatures DetectFeatures() {
   return features;
 }
 
-KernelDispatch DispatchFromEnvironment() {
-  const char* value = std::getenv("HYPERPROF_KERNEL_DISPATCH");
-  if (value != nullptr && std::strcmp(value, "portable") == 0) {
-    return KernelDispatch::kPortable;
-  }
-  return KernelDispatch::kNative;
-}
-
 // -1: no override; otherwise the KernelDispatch value.
 std::atomic<int> g_dispatch_override{-1};
 
@@ -85,8 +75,7 @@ KernelDispatch ActiveKernelDispatch() {
   if (override_value >= 0) {
     return static_cast<KernelDispatch>(override_value);
   }
-  static const KernelDispatch kFromEnv = DispatchFromEnvironment();
-  return kFromEnv;
+  return KernelDispatch::kNative;
 }
 
 void SetKernelDispatchForTest(std::optional<KernelDispatch> dispatch) {

@@ -16,7 +16,7 @@ namespace hyperprof {
  * `crc32` instruction). Which path runs is decided at runtime from the
  * detected features plus a process-wide dispatch policy, so the same
  * binary gives the best software-on-CPU baseline the machine supports
- * while CI and the deterministic-simulation fuzzer can pin either path.
+ * while tests and benchmarks can pin either path in-process.
  *
  * The hard contract (DESIGN.md §12): every native path is bit-identical
  * to the portable reference on all inputs, so dispatch can never change
@@ -43,17 +43,12 @@ enum class KernelDispatch : uint8_t {
 
 const char* KernelDispatchName(KernelDispatch dispatch);
 
-/**
- * Effective dispatch policy: a test override if one is set, else the
- * `HYPERPROF_KERNEL_DISPATCH=portable|native` environment variable (read
- * once), else native. Unrecognized values fall back to native.
- */
+/** Effective dispatch policy: a test override if one is set, else native. */
 KernelDispatch ActiveKernelDispatch();
 
 /**
- * Pins the dispatch policy for tests and benchmarks, overriding the
- * environment; `nullopt` restores environment resolution. Affects kernels
- * process-wide from the next call onward.
+ * Pins the dispatch policy for tests and benchmarks; `nullopt` restores
+ * native. Affects kernels process-wide from the next call onward.
  */
 void SetKernelDispatchForTest(std::optional<KernelDispatch> dispatch);
 

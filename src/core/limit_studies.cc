@@ -2,8 +2,6 @@
 
 #include <cassert>
 
-#include "core/parallel_sweep.h"
-
 namespace hyperprof::model {
 
 namespace {
@@ -21,7 +19,9 @@ std::vector<SweepPoint> UniformSpeedupSweep(const Workload& base,
                                             bool remove_dep,
                                             const AccelSystemConfig& config,
                                             double offload_bytes) {
-  return ParallelSweep(factors, [&](double factor) {
+  std::vector<SweepPoint> points;
+  points.reserve(factors.size());
+  for (double factor : factors) {
     assert(factor >= 1.0);
     Workload workload = base;
     ApplyConfig(workload, config, offload_bytes);
@@ -29,8 +29,9 @@ std::vector<SweepPoint> UniformSpeedupSweep(const Workload& base,
       component.speedup = factor;
     }
     AccelModel model(std::move(workload));
-    return SweepPoint{factor, model.Speedup(remove_dep)};
-  });
+    points.push_back(SweepPoint{factor, model.Speedup(remove_dep)});
+  }
+  return points;
 }
 
 std::vector<IncrementalPoint> IncrementalAccelerationStudy(
@@ -38,23 +39,24 @@ std::vector<IncrementalPoint> IncrementalAccelerationStudy(
     double link_bandwidth) {
   auto configs = FigureConfigs();
   for (auto& config : configs) config.link_bandwidth = link_bandwidth;
-  return ParallelSweepIndexed(
-      base.components.size(), [&](size_t index) {
-        size_t count = index + 1;
-        IncrementalPoint row;
-        row.component_added = base.components[count - 1].name;
-        for (size_t c = 0; c < configs.size(); ++c) {
-          Workload workload = base;
-          workload.components.resize(count);
-          ApplyConfig(workload, configs[c], offload_bytes);
-          for (Component& component : workload.components) {
-            component.speedup = per_accel_speedup;
-          }
-          AccelModel model(std::move(workload));
-          row.speedup_by_config[c] = model.Speedup(/*remove_dep=*/false);
-        }
-        return row;
-      });
+  std::vector<IncrementalPoint> rows;
+  rows.reserve(base.components.size());
+  for (size_t count = 1; count <= base.components.size(); ++count) {
+    IncrementalPoint row;
+    row.component_added = base.components[count - 1].name;
+    for (size_t c = 0; c < configs.size(); ++c) {
+      Workload workload = base;
+      workload.components.resize(count);
+      ApplyConfig(workload, configs[c], offload_bytes);
+      for (Component& component : workload.components) {
+        component.speedup = per_accel_speedup;
+      }
+      AccelModel model(std::move(workload));
+      row.speedup_by_config[c] = model.Speedup(/*remove_dep=*/false);
+    }
+    rows.push_back(std::move(row));
+  }
+  return rows;
 }
 
 std::vector<SetupSweepPoint> SetupTimeSweep(
@@ -62,7 +64,9 @@ std::vector<SetupSweepPoint> SetupTimeSweep(
     double per_accel_speedup, double offload_bytes, double link_bandwidth) {
   auto configs = FigureConfigs();
   for (auto& config : configs) config.link_bandwidth = link_bandwidth;
-  return ParallelSweep(setup_times, [&](double setup) {
+  std::vector<SetupSweepPoint> rows;
+  rows.reserve(setup_times.size());
+  for (double setup : setup_times) {
     SetupSweepPoint row;
     row.setup_time = setup;
     for (size_t c = 0; c < configs.size(); ++c) {
@@ -76,8 +80,9 @@ std::vector<SetupSweepPoint> SetupTimeSweep(
       AccelModel model(std::move(workload));
       row.speedup_by_config[c] = model.Speedup(/*remove_dep=*/false);
     }
-    return row;
-  });
+    rows.push_back(row);
+  }
+  return rows;
 }
 
 std::vector<PublishedAccelerator> PriorAcceleratorSet() {
@@ -162,17 +167,17 @@ std::vector<PriorAcceleratorPoint> PriorAcceleratorStudy(
       }
     }
   }
-  std::vector<PriorAcceleratorPoint> rows =
-      ParallelSweep(present, [&](const PublishedAccelerator& accelerator) {
-        PriorAcceleratorPoint row;
-        row.label =
-            accelerator.component_name + " (" + accelerator.source + ")";
-        row.sync_speedup =
-            EvaluateWith(base, {accelerator}, Invocation::kSynchronous);
-        row.chained_speedup =
-            EvaluateWith(base, {accelerator}, Invocation::kChained);
-        return row;
-      });
+  std::vector<PriorAcceleratorPoint> rows;
+  rows.reserve(present.size() + 1);
+  for (const PublishedAccelerator& accelerator : present) {
+    PriorAcceleratorPoint row;
+    row.label = accelerator.component_name + " (" + accelerator.source + ")";
+    row.sync_speedup =
+        EvaluateWith(base, {accelerator}, Invocation::kSynchronous);
+    row.chained_speedup =
+        EvaluateWith(base, {accelerator}, Invocation::kChained);
+    rows.push_back(std::move(row));
+  }
   PriorAcceleratorPoint combined;
   combined.label = "Combined";
   combined.sync_speedup =

@@ -4,8 +4,8 @@
 #include <cassert>
 #include <tuple>
 
+#include "common/parallel_for.h"
 #include "common/record_pool.h"
-#include "common/thread_pool.h"
 #include "platforms/platforms.h"
 #include "storage/provisioning.h"
 
@@ -391,25 +391,15 @@ void FleetSimulation::Finish() {
 }
 
 void FleetSimulation::RunAll() {
-  // parallelism <= 1 selects the fully serial path: no pool. Otherwise
-  // the pool spreads whole platforms, each with all of its kernels, one
-  // job per platform — wall-clock only, results are bit-identical either
-  // way.
-  const size_t threads = ThreadPool::ResolveParallelism(config_.parallelism);
-  if (threads <= 1) {
-    Start();
-    Finish();
-    return;
-  }
   assert(!started_);
   started_ = true;
   finished_ = true;
-  // Each platform's job schedules its own workload, so its events are
-  // allocated in the malloc arena of the thread that runs them;
-  // scheduling every platform on the calling thread first would strand
-  // the initial event heaps in the caller's arena and raise peak RSS.
-  ThreadPool pool(std::min(threads, slots_.size()));
-  pool.ParallelFor(slots_.size(), [this](size_t index) {
+  // One job per platform runs both Start()'s and Finish()'s steps, so a
+  // platform's events are allocated in the malloc arena of the thread
+  // that runs them; scheduling every platform on the calling thread first
+  // would strand the initial event heaps in the caller's arena and raise
+  // peak RSS. Results are bit-identical at every parallelism.
+  ParallelFor(slots_.size(), config_.parallelism, [this](size_t index) {
     StartSlot(*slots_[index]);
     FinishSlot(*slots_[index]);
   });

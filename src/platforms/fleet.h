@@ -31,9 +31,10 @@ struct FleetConfig {
   // sampling-rate ablation bench sweeps this.
   uint32_t trace_sample_one_in = 20;
   uint64_t seed = 42;
-  // Host threads used by RunAll: 0 = one per hardware thread, 1 = the
-  // serial path, N = at most N platforms simulate concurrently. Every
-  // setting produces bit-identical results (see DESIGN.md).
+  // Host threads used by RunAll: 0 = one per hardware thread, 1 = every
+  // platform in turn on the calling thread, N = at most N platforms
+  // simulate concurrently. Every setting produces bit-identical results
+  // (see DESIGN.md).
   uint32_t parallelism = 0;
   // --- Intra-platform sharding -------------------------------------------
   // 0 (the default) is the legacy fused platform: one event kernel runs
@@ -189,11 +190,11 @@ class FleetSimulation {
 
   /**
    * Runs every platform's workload to completion through the same
-   * per-platform steps as Start() and Finish(). When config.parallelism
-   * resolves to more than one thread, each platform runs both steps, with
-   * all of its kernels, as one job on a thread pool; results are
-   * bit-identical either way. Replaces the whole Start/Advance/Finish
-   * sequence — call one or the other.
+   * per-platform steps as Start() and Finish(). Each platform runs both
+   * steps, with all of its kernels, as one ParallelFor job on up to
+   * config.parallelism host threads; results are bit-identical at every
+   * setting. Replaces the whole Start/Advance/Finish sequence — call one
+   * or the other.
    */
   void RunAll();
 

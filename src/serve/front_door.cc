@@ -7,6 +7,13 @@
 
 namespace hyperprof::serve {
 
+namespace {
+
+/** Most-recent windows returned per kWindows request. */
+constexpr int64_t kWindowsLimit = 8;
+
+}  // namespace
+
 VirtualFrontDoor::VirtualFrontDoor(FrontDoorOptions options)
     : options_(std::move(options)) {
   // Serving invariants on the fleet config: no batch workload, fused
@@ -125,12 +132,11 @@ void VirtualFrontDoor::FillWindows(const Request& request,
     response->status = ResponseStatus::kError;  // continuous disabled
     return;
   }
-  // Most recent populated windows, oldest first, capped at windows_limit.
+  // Most recent populated windows, oldest first, capped at kWindowsLimit.
   const int64_t last = profiler->last_window();
   int64_t first = profiler->first_window();
-  if (last >= 0 && options_.windows_limit > 0) {
-    first = std::max(first,
-                     last - static_cast<int64_t>(options_.windows_limit) + 1);
+  if (last >= 0) {
+    first = std::max(first, last - kWindowsLimit + 1);
     for (int64_t index = first; index <= last; ++index) {
       const profiling::WindowSlot* slot = profiler->WindowAt(index);
       if (slot == nullptr || slot->empty()) continue;

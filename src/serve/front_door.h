@@ -38,8 +38,6 @@ struct FrontDoorOptions {
    * max_in_flight / mean_virtual_latency; offered load beyond that sheds.
    */
   uint64_t max_in_flight = 256;
-  /** Most-recent windows returned per kWindows request. */
-  size_t windows_limit = 8;
 
   FrontDoorOptions() {
     fleet.queries_per_platform = 0;

@@ -23,6 +23,12 @@ constexpr size_t kRecvChunk = 64 * 1024;
 /** Accept-time reservation for each half of a connection's output ring. */
 constexpr size_t kInitialOutBytes = 8 * 1024;
 
+/** Pending-connection queue length passed to listen(). */
+constexpr int kListenBacklog = 64;
+
+/** Open connections beyond this are closed as soon as they are accepted. */
+constexpr size_t kMaxConnections = 64;
+
 bool SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0) return false;
@@ -67,7 +73,7 @@ bool ServeDaemon::Listen() {
       0) {
     return false;
   }
-  if (::listen(listen_fd_, options_.backlog) < 0) return false;
+  if (::listen(listen_fd_, kListenBacklog) < 0) return false;
   socklen_t len = sizeof(addr);
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
     return false;
@@ -188,7 +194,7 @@ void ServeDaemon::AcceptReady() {
       if (errno == EINTR) continue;
       return;
     }
-    if (by_fd_.size() >= options_.max_connections) {
+    if (by_fd_.size() >= kMaxConnections) {
       ::close(fd);  // over the cap: shed the connection outright
       continue;
     }

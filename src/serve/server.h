@@ -26,8 +26,6 @@ struct DaemonStats {
 struct ServerOptions {
   /** TCP port to bind on loopback; 0 picks an ephemeral port. */
   uint16_t port = 0;
-  int backlog = 64;
-  size_t max_connections = 64;
   /**
    * Virtual seconds advanced per wall-clock second. The simulated fleet
    * executes in virtual time; this rate is what turns it into a live

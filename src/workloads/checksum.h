@@ -19,7 +19,7 @@ namespace hyperprof::workloads {
  * eight 256-entry tables) and, under native dispatch on hardware that has
  * it, the dedicated CRC32 instruction (SSE4.2 `crc32` on x86-64, the CRC
  * extension on AArch64). Both produce bit-identical results on all
- * inputs; `HYPERPROF_KERNEL_DISPATCH=portable` pins the table path.
+ * inputs; `SetKernelDispatchForTest(kPortable)` pins the table path.
  */
 uint32_t Crc32c(const uint8_t* data, size_t size, uint32_t seed = 0);
 

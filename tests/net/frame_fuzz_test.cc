@@ -5,8 +5,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <vector>
 
+#include "common/cpu.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "serve/frame.h"
@@ -61,6 +63,42 @@ TEST(FrameFuzzTest, RandomSplitPointsReassembleIdentically) {
     ASSERT_EQ(decoded, frames);
     EXPECT_FALSE(decoder.HasPartial());
     EXPECT_EQ(decoder.frames_decoded(), frame_count);
+  }
+}
+
+TEST(FrameFuzzTest, FramesDecodeAcrossDispatchPolicies) {
+  // A frame's CRC32C goes through the kernel dispatch, and the daemon and
+  // its clients may run on hosts with and without a CRC instruction: a
+  // frame encoded under either policy must be byte-identical and decode
+  // under the other.
+  constexpr KernelDispatch kPairs[][2] = {
+      {KernelDispatch::kPortable, KernelDispatch::kNative},
+      {KernelDispatch::kNative, KernelDispatch::kPortable}};
+  Rng rng(0xd15fa7c4);
+  for (const auto& pair : kPairs) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<std::vector<uint8_t>> frames;
+      for (size_t i = 0, count = 1 + rng.NextBounded(6); i < count; ++i) {
+        frames.push_back(RandomPayload(rng, rng.NextBounded(2000)));
+      }
+      SetKernelDispatchForTest(pair[1]);
+      const std::vector<uint8_t> reference = EncodeStream(frames);
+      SetKernelDispatchForTest(pair[0]);
+      const std::vector<uint8_t> stream = EncodeStream(frames);
+      SetKernelDispatchForTest(pair[1]);
+      FrameDecoder decoder;
+      decoder.Feed(stream.data(), stream.size());
+      std::vector<std::vector<uint8_t>> decoded;
+      std::vector<uint8_t> payload;
+      while (decoder.Next(&payload) == FrameDecoder::Status::kFrame) {
+        decoded.push_back(payload);
+      }
+      SetKernelDispatchForTest(std::nullopt);
+      ASSERT_EQ(stream, reference) << KernelDispatchName(pair[0]);
+      ASSERT_EQ(decoded, frames) << KernelDispatchName(pair[0]) << " -> "
+                                 << KernelDispatchName(pair[1]);
+      EXPECT_FALSE(decoder.HasPartial());
+    }
   }
 }
 

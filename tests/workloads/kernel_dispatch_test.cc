@@ -1,10 +1,11 @@
 // Cross-path bit-identity and streaming==one-shot tests for the
 // datacenter-tax kernels behind the runtime dispatch layer (common/cpu.h).
 // Every test that touches a dispatched kernel runs under BOTH policies:
-// the contract is that HYPERPROF_KERNEL_DISPATCH can change wall-clock
-// only, never a single output bit.
+// the contract is that the dispatch policy can change wall-clock only,
+// never a single output bit.
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <vector>
@@ -21,7 +22,7 @@
 namespace hyperprof::workloads {
 namespace {
 
-// Restores environment-based dispatch resolution when a test exits.
+// Restores the native default when a test exits.
 class ScopedDispatch {
  public:
   explicit ScopedDispatch(KernelDispatch dispatch) {
@@ -66,6 +67,11 @@ TEST(CpuDispatchTest, DetectionIsStable) {
 }
 
 TEST(CpuDispatchTest, OverrideWinsOverEnvironment) {
+  // The policy is the override, else native: a variable in the
+  // environment selects nothing.
+  ::setenv("HYPERPROF_KERNEL_DISPATCH", "portable", /*overwrite=*/1);
+  EXPECT_EQ(ActiveKernelDispatch(), KernelDispatch::kNative);
+  ::unsetenv("HYPERPROF_KERNEL_DISPATCH");
   {
     ScopedDispatch pin(KernelDispatch::kPortable);
     EXPECT_EQ(ActiveKernelDispatch(), KernelDispatch::kPortable);
