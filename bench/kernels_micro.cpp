@@ -1,6 +1,7 @@
-// Microbenchmarks of every real compute kernel in the library: the
-// workloads behind the simulated platforms' core compute and tax cycles.
-// Not tied to a specific paper figure; used to ground the cost models.
+// Microbenchmarks of the real compute kernels that the figure benches and
+// the serving path run: wire format, SHA3, LZ codec, CRC32C, relational
+// operators and allocators. Not tied to a specific paper figure; used to
+// ground the cost models.
 
 #include <algorithm>
 
@@ -8,8 +9,6 @@
 
 #include "common/cpu.h"
 #include "common/rng.h"
-#include "common/strings.h"
-#include "storage/lsm.h"
 #include "workloads/arena.h"
 #include "workloads/checksum.h"
 #include "workloads/compression.h"
@@ -212,62 +211,6 @@ void BM_MallocVsArena(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 1024);
 }
 BENCHMARK(BM_MallocVsArena)->Arg(0)->Arg(1);
-
-// --- LSM storage engine ---
-
-void BM_LsmPut(benchmark::State& state) {
-  Rng rng(9);
-  storage::LsmParams params;
-  params.memtable_flush_bytes = 256 << 10;
-  storage::LsmTree tree(params);
-  ZipfSampler keys(100000, 0.9);
-  int64_t ops = 0;
-  for (auto _ : state) {
-    tree.Put(StrFormat("row%06zu", keys.Sample(rng)),
-             std::string(64, 'v'));
-    ++ops;
-  }
-  state.SetItemsProcessed(ops);
-  state.counters["write_amp"] = tree.stats().WriteAmplification();
-}
-BENCHMARK(BM_LsmPut);
-
-void BM_LsmGet(benchmark::State& state) {
-  Rng rng(10);
-  storage::LsmParams params;
-  params.memtable_flush_bytes = 64 << 10;
-  storage::LsmTree tree(params);
-  ZipfSampler keys(20000, 0.9);
-  for (int i = 0; i < 50000; ++i) {
-    tree.Put(StrFormat("row%05zu", keys.Sample(rng)),
-             std::string(48, 'v'));
-  }
-  tree.CompactAll();
-  int64_t ops = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.Get(StrFormat("row%05zu", keys.Sample(rng))));
-    ++ops;
-  }
-  state.SetItemsProcessed(ops);
-}
-BENCHMARK(BM_LsmGet);
-
-void BM_LsmCompaction(benchmark::State& state) {
-  Rng rng(11);
-  for (auto _ : state) {
-    storage::LsmParams params;
-    params.memtable_flush_bytes = 32 << 10;
-    params.level0_compaction_trigger = 2;
-    storage::LsmTree tree(params);
-    for (int i = 0; i < 4000; ++i) {
-      tree.Put(StrFormat("row%04d", i % 1000), std::string(48, 'v'));
-    }
-    tree.CompactAll();
-    benchmark::DoNotOptimize(tree.stats().compactions);
-  }
-}
-BENCHMARK(BM_LsmCompaction)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

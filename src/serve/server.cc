@@ -48,6 +48,7 @@ ServeDaemon::~ServeDaemon() {
   by_fd_.clear();
   by_id_.clear();
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (reserve_fd_ >= 0) ::close(reserve_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_pipe_[0] >= 0) ::close(wake_pipe_[0]);
   if (wake_pipe_[1] >= 0) ::close(wake_pipe_[1]);
@@ -80,6 +81,8 @@ bool ServeDaemon::Listen() {
   }
   port_ = ntohs(addr.sin_port);
   if (!SetNonBlocking(listen_fd_)) return false;
+  reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+  if (reserve_fd_ < 0) return false;
   if (::pipe(wake_pipe_) < 0) return false;
   SetNonBlocking(wake_pipe_[0]);
   SetNonBlocking(wake_pipe_[1]);
@@ -192,6 +195,19 @@ void ServeDaemon::AcceptReady() {
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
       if (errno == EINTR) continue;
+      if ((errno == EMFILE || errno == ENFILE) && reserve_fd_ >= 0) {
+        // Out of descriptors. Left in the backlog, a connection would
+        // keep the level-triggered listen fd readable and spin the loop,
+        // so spend the reserve descriptor to accept and shed it. accept
+        // claims a descriptor before it looks at the backlog, so only
+        // the reserve's accept can tell an empty backlog apart.
+        ::close(reserve_fd_);
+        const int shed = ::accept(listen_fd_, nullptr, nullptr);
+        if (shed >= 0) ::close(shed);
+        reserve_fd_ = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
+        if (shed < 0) return;
+        continue;
+      }
       return;
     }
     if (by_fd_.size() >= kMaxConnections) {

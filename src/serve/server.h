@@ -161,6 +161,9 @@ class ServeDaemon : private VirtualFrontDoor::ResponseSink {
   DaemonStats stats_;
   uint16_t port_ = 0;
   int listen_fd_ = -1;
+  // Held open so the daemon can still accept, and shed, a pending
+  // connection when the process is out of descriptors.
+  int reserve_fd_ = -1;
   int epoll_fd_ = -1;
   int wake_pipe_[2] = {-1, -1};  // self-pipe: Stop() wakes epoll_wait
   std::atomic<bool> stop_{false};

@@ -14,19 +14,6 @@ Table::Table(std::vector<Column> columns) : columns_(std::move(columns)) {
   }
 }
 
-int Table::FindColumn(const std::string& name) const {
-  for (size_t i = 0; i < columns_.size(); ++i) {
-    if (columns_[i].name == name) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-void Table::AddColumn(Column column) {
-  assert(columns_.empty() ||
-         column.values.size() == columns_[0].values.size());
-  columns_.push_back(std::move(column));
-}
-
 std::vector<uint32_t> Filter(const Column& column, Predicate pred,
                              int64_t literal) {
   std::vector<uint32_t> selection;
@@ -73,16 +60,6 @@ Table Materialize(const Table& table, const std::vector<uint32_t>& selection,
       dst.values.push_back(src.values[row]);
     }
     out.push_back(std::move(dst));
-  }
-  return Table(std::move(out));
-}
-
-Table Project(const Table& table,
-              const std::vector<size_t>& column_indices) {
-  std::vector<Column> out;
-  out.reserve(column_indices.size());
-  for (size_t ci : column_indices) {
-    out.push_back(table.column(ci));
   }
   return Table(std::move(out));
 }

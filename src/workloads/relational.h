@@ -12,7 +12,7 @@ namespace hyperprof::relational {
 /**
  * Columnar relational kernels — the "core compute" operations of the
  * analytics platform in the paper's Table 5: filter/scan, aggregation
- * (hash and sort), join, project, sort, and materialize.
+ * (hash and sort), join, sort, and materialize.
  *
  * Columns are int64 vectors; a Table is a set of equally-long named
  * columns. The kernels are real (they move and compute on actual data) so
@@ -38,11 +38,6 @@ class Table {
   const Column& column(size_t i) const { return columns_[i]; }
   Column& column(size_t i) { return columns_[i]; }
 
-  /** Index of the column with the given name; -1 if absent. */
-  int FindColumn(const std::string& name) const;
-
-  void AddColumn(Column column);
-
  private:
   std::vector<Column> columns_;
 };
@@ -63,9 +58,6 @@ std::vector<uint32_t> Filter(const Column& column, Predicate pred,
 /** Gathers the selected rows of the given columns into a new table. */
 Table Materialize(const Table& table, const std::vector<uint32_t>& selection,
                   const std::vector<size_t>& column_indices);
-
-/** Copies out a subset of columns without row filtering. */
-Table Project(const Table& table, const std::vector<size_t>& column_indices);
 
 /**
  * Groups by `group_column`, applying `op` over `value_column`.

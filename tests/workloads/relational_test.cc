@@ -46,14 +46,6 @@ TEST(MaterializeTest, GathersSelectedRows) {
   EXPECT_EQ(out.column(1).values, (std::vector<int64_t>{20, 40}));
 }
 
-TEST(ProjectTest, CopiesChosenColumns) {
-  Table table = MakeTable({1, 2}, {10, 20});
-  Table out = Project(table, {1});
-  EXPECT_EQ(out.num_columns(), 1u);
-  EXPECT_EQ(out.column(0).name, "value");
-  EXPECT_EQ(out.column(0).values, (std::vector<int64_t>{10, 20}));
-}
-
 TEST(AggregateTest, HashSumGroups) {
   Table table = MakeTable({1, 2, 1, 2, 3}, {10, 20, 30, 40, 50});
   Table out = HashAggregate(table, 0, 1, AggOp::kSum);
@@ -177,13 +169,6 @@ TEST(GenerateTableTest, ShapeAndCardinality) {
     if (key == 40) ++rank40;
   }
   EXPECT_GT(rank0, rank40);
-}
-
-TEST(TableTest, FindColumnByName) {
-  Table table = MakeTable({1}, {2});
-  EXPECT_EQ(table.FindColumn("key"), 0);
-  EXPECT_EQ(table.FindColumn("value"), 1);
-  EXPECT_EQ(table.FindColumn("missing"), -1);
 }
 
 }  // namespace
